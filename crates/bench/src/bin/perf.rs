@@ -92,7 +92,7 @@ fn suite() -> Vec<Member> {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse_with(&["--check", "--out"]);
     let mut check = false;
     let mut out_flag: Option<PathBuf> = None;
     let mut rest = args.rest.iter();
@@ -137,9 +137,6 @@ fn main() {
     for member in suite() {
         let spec = spec_scheduled(member.hw, member.soft, member.users, schedule);
         let mut cfg = spec.to_config();
-        if let Some(kind) = args.queue {
-            cfg.queue = kind;
-        }
         // `--par-run` overrides the whole suite (ad-hoc exploration); the
         // committed baseline runs without it, so the members' own worker
         // counts (serial, plus the stress1m-parN ladder) hold.

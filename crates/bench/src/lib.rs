@@ -47,19 +47,15 @@ pub fn spec_scheduled(
 
 /// Start a figure's experiment plan from the shared CLI flags: the bench
 /// schedule (honoring `--quick`), passive windowed collection when
-/// `--metrics` was given, engine profiling when `--profile` was, the
-/// `--queue` event-list backend when one was named, and the `--par-run`
-/// worker count for each point's sharded engine. Add variants and the
-/// workload ramp, then run it with [`execute`].
+/// `--metrics` was given, engine profiling when `--profile` was, and the
+/// `--par-run` worker count for each point's sharded engine. Add variants
+/// and the workload ramp, then run it with [`execute`].
 pub fn plan(name: &str, args: &BenchArgs) -> ExperimentPlan {
     let mut p = ExperimentPlan::new(name)
         .with_schedule(args.schedule())
         .with_profile(args.profile);
     if let Some(sink) = &args.metrics {
         p = p.with_metrics(sink.config());
-    }
-    if let Some(kind) = args.queue {
-        p = p.with_queue(kind);
     }
     if let Some(n) = args.par_run {
         p = p.with_par_run(n);
@@ -350,7 +346,7 @@ mod tests {
     #[test]
     fn plan_carries_schedule_and_metrics_flags() {
         let args =
-            BenchArgs::try_parse_from(["--quick", "--metrics", "m.csv:250"].map(String::from))
+            BenchArgs::try_parse_from(["--quick", "--metrics", "m.csv:250"].map(String::from), &[])
                 .expect("parses");
         let p = plan("t", &args);
         assert_eq!(p.schedule, Schedule::Quick);
@@ -360,7 +356,7 @@ mod tests {
 
     #[test]
     fn variant_attaches_fault_windows() {
-        let args = BenchArgs::try_parse_from(["--faults", "db:1@40-70"].map(String::from))
+        let args = BenchArgs::try_parse_from(["--faults", "db:1@40-70"].map(String::from), &[])
             .expect("parses");
         let v = variant(
             &args,

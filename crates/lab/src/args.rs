@@ -35,29 +35,28 @@
 //!   bit-identical with or without the flag.
 //! * `--profile` — enable engine profiling on every run and print a
 //!   phase-timing/throughput summary after the tables. Also passive.
-//! * `--queue heap|calendar` — future-event-list backend for every run.
-//!   Both backends pop in the identical order (proven by differential and
-//!   golden tests), so this is a performance knob only.
 //! * `--par-run N` — worker threads for the horizon-sharded single-run
 //!   engine (default 1 = serial). The shard layout is topology-fixed and
 //!   independent of `N`, so every value reproduces bit-identical results;
-//!   like `--queue`, a performance knob only.
+//!   a performance knob only.
 //! * `--tail-sample K` — arm the tail-sampling flight recorder: retain the
 //!   K slowest (plus all failed) traces per 100 ms window with their
 //!   critical-path attribution. Passive; requires tracing on the run.
 //! * `--slo P:MS` — latency objective (e.g. `99:500` = 99% within 500 ms)
 //!   feeding per-window violation counts and the burn-rate alert stream.
 //!
-//! Unknown arguments are collected into [`BenchArgs::rest`] (libtest passes
-//! some through to bench binaries; examples parse their extra flags from
-//! there), never treated as errors.
+//! A harness with flags of its own names them to
+//! [`BenchArgs::parse_with`]; they and every non-flag argument are collected
+//! into [`BenchArgs::rest`] for the harness to read, as is the `--bench`
+//! flag `cargo bench` passes to every bench binary. Any other `--flag` is an
+//! unknown-flag error, so a mistyped or retired flag never passes silently.
 
 use ntier_core::experiment::Schedule;
 use ntier_core::{
     FlightConfig, HardwareConfig, MetricsSink, RetryPolicy, SloPolicy, SoftAllocation, Tier,
     Topology, TopologyError,
 };
-use simcore::{QueueKind, SimTime};
+use simcore::SimTime;
 use std::path::PathBuf;
 use workload::RetryBudget;
 
@@ -90,10 +89,6 @@ pub struct BenchArgs {
     /// phase-timing summary afterwards. Passive — the printed tables are
     /// bit-identical with or without it.
     pub profile: bool,
-    /// `--queue` future-event-list backend override (`None` keeps the
-    /// engine default). Semantics-neutral: outputs are bit-identical across
-    /// backends, only wall-clock performance changes.
-    pub queue: Option<QueueKind>,
     /// `--par-run N`: worker threads for the horizon-sharded single-run
     /// engine (`None` keeps the serial default). Semantics-neutral: the
     /// shard layout never depends on the thread count, so outputs are
@@ -107,7 +102,8 @@ pub struct BenchArgs {
     /// `--slo P:MS`: latency objective driving the burn-rate alert stream
     /// (e.g. `99:500` = 99% of requests within 500 ms).
     pub slo: Option<SloPolicy>,
-    /// Arguments this parser did not recognize, in order.
+    /// The harness's own flags (see [`BenchArgs::parse_with`]), their
+    /// values, and any other non-flag arguments, in order.
     pub rest: Vec<String>,
 }
 
@@ -225,11 +221,17 @@ impl FaultFlag {
 }
 
 impl BenchArgs {
-    /// Parse the process arguments; exits with a message on a malformed
-    /// flag (the only abort left at the CLI boundary — everything below it
-    /// returns `Result`).
+    /// Parse the process arguments; exits with a message on an unknown or
+    /// malformed flag (the only abort left at the CLI boundary — everything
+    /// below it returns `Result`).
     pub fn parse() -> Self {
-        match Self::try_parse_from(std::env::args().skip(1)) {
+        Self::parse_with(&[])
+    }
+
+    /// [`parse`](Self::parse) for a harness that reads `extras` (its own
+    /// flags) from [`rest`](Self::rest).
+    pub fn parse_with(extras: &[&str]) -> Self {
+        match Self::try_parse_from(std::env::args().skip(1), extras) {
             Ok(out) => out,
             Err(msg) => {
                 eprintln!("bench flags: {msg}");
@@ -238,10 +240,13 @@ impl BenchArgs {
         }
     }
 
-    /// Fallible parse. Unknown arguments (libtest passes some through, and
-    /// examples define their own extras) are collected into `rest`;
-    /// malformed values for known flags are returned as errors.
-    pub fn try_parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    /// Fallible parse. The harness's `extras`, `--bench` and non-flag
+    /// arguments are collected into `rest`; an unknown flag or a malformed
+    /// value for a known one is returned as an error.
+    pub fn try_parse_from(
+        args: impl IntoIterator<Item = String>,
+        extras: &[&str],
+    ) -> Result<Self, String> {
         let mut out = BenchArgs::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -306,11 +311,6 @@ impl BenchArgs {
                     };
                     out.metrics = Some(MetricsSink::parse(&v)?);
                 }
-                "--queue" => match args.next().map(|v| v.parse::<QueueKind>()) {
-                    Some(Ok(kind)) => out.queue = Some(kind),
-                    Some(Err(e)) => return Err(e),
-                    None => return Err("--queue needs 'heap' or 'calendar'".into()),
-                },
                 "--par-run" => {
                     let Some(v) = args.next() else {
                         return Err("--par-run needs a thread count ≥ 1".into());
@@ -337,6 +337,9 @@ impl BenchArgs {
                 }
                 "--quick" => out.quick = true,
                 "--profile" => out.profile = true,
+                flag if flag.starts_with("--") && flag != "--bench" && !extras.contains(&flag) => {
+                    return Err(format!("unknown flag '{flag}'"))
+                }
                 _ => out.rest.push(arg),
             }
         }
@@ -429,7 +432,7 @@ mod tests {
     use super::*;
 
     fn parse(list: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::try_parse_from(list.iter().map(|s| s.to_string()))
+        BenchArgs::try_parse_from(list.iter().map(|s| s.to_string()), &["--window"])
     }
 
     #[test]
@@ -444,13 +447,18 @@ mod tests {
         assert!(ok.profile);
         assert_eq!(ok.rest, vec!["--bench".to_string()]);
         assert!(!parse(&["--quick"]).expect("parses").profile);
-        assert!(parse(&["--queue", "ladder"]).is_err());
-        assert!(parse(&["--queue"]).is_err());
-        assert_eq!(
-            parse(&["--queue", "calendar"]).expect("parses").queue,
-            Some(QueueKind::Calendar)
-        );
-        assert_eq!(parse(&["--quick"]).expect("parses").queue, None);
+        // A harness's own flags and their values pass through to `rest`.
+        let ok = parse(&["--window", "250", "--quick"]).expect("parses");
+        assert_eq!(ok.rest, vec!["--window".to_string(), "250".to_string()]);
+        // Any other flag is an error, retired ones included (the event-queue
+        // backend switch is gone: the calendar queue is the only backend).
+        for name in ["queue", "frobnicate"] {
+            let flag = format!("--{name}");
+            assert_eq!(
+                parse(&[flag.as_str(), "calendar"]).unwrap_err(),
+                format!("unknown flag '{flag}'")
+            );
+        }
         assert_eq!(parse(&["--par-run", "4"]).expect("parses").par_run, Some(4));
         assert!(parse(&["--par-run", "0"]).is_err());
         assert!(parse(&["--par-run"]).is_err());

@@ -85,19 +85,19 @@ impl Executor {
                 s.spawn(move || loop {
                     // Own block first (front), then steal from the back of
                     // the first non-empty victim, scanning round-robin from
-                    // the right neighbour.
-                    let job = queues[w]
-                        .lock()
-                        .expect("queue lock")
-                        .pop_front()
-                        .or_else(|| {
-                            (1..workers).find_map(|k| {
-                                queues[(w + k) % workers]
-                                    .lock()
-                                    .expect("queue lock")
-                                    .pop_back()
-                            })
-                        });
+                    // the right neighbour. The own-deque guard must drop
+                    // before any victim is locked: two workers each holding
+                    // their own lock while reaching for the other's would
+                    // deadlock.
+                    let own = queues[w].lock().expect("queue lock").pop_front();
+                    let job = own.or_else(|| {
+                        (1..workers).find_map(|k| {
+                            queues[(w + k) % workers]
+                                .lock()
+                                .expect("queue lock")
+                                .pop_back()
+                        })
+                    });
                     let Some((i, item)) = job else { break };
                     let r = f(item);
                     results.lock().expect("results lock")[i] = Some(r);

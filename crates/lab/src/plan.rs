@@ -15,7 +15,6 @@ use ntier_core::experiment::{ExperimentSpec, Schedule};
 use ntier_core::Strategy;
 use ntier_trace::json::{obj, Json};
 use ntier_trace::TraceConfig;
-use simcore::QueueKind;
 use tiers::topology::SelectPolicy;
 use tiers::{
     FaultSpec, FlightConfig, HardwareConfig, MetricsConfig, RetryBudget, RetryPolicy, ShedPolicy,
@@ -122,18 +121,12 @@ pub struct ExperimentPlan {
     /// off, but profiled plans always re-execute — phase timings describe
     /// *this* execution, not a store replay).
     pub profile: bool,
-    /// Future-event-list backend for every point. **Deliberately excluded
-    /// from the content digest** ([`spec_json`]): backend choice is proven
-    /// semantics-neutral (identical pop order, golden digests bit-identical),
-    /// so a store populated under one backend resumes cleanly under the
-    /// other — it is a performance knob, not a semantic one.
-    pub queue: QueueKind,
     /// Worker threads for the sharded single-run engine on every point.
-    /// **Deliberately excluded from the content digest** ([`spec_json`]),
-    /// same rationale as `queue`: the shard layout is topology-fixed and
-    /// independent of the thread count, so every `par_run` value produces
-    /// bit-identical outputs (proven by the differential and golden suites)
-    /// — a performance knob, not a semantic one.
+    /// **Deliberately excluded from the content digest** ([`spec_json`]):
+    /// the shard layout is topology-fixed and independent of the thread
+    /// count, so every `par_run` value produces bit-identical outputs
+    /// (proven by the differential and golden suites) — a performance knob,
+    /// not a semantic one.
     pub par_run: u32,
     /// Tail-sampling flight recorder (passive; requires `trace` to be
     /// enabled to arm). Summaries ride on the per-point [`tiers::RunTrace`],
@@ -159,7 +152,6 @@ impl ExperimentPlan {
             trace: TraceConfig::Off,
             metrics: MetricsConfig::Off,
             profile: false,
-            queue: QueueKind::default(),
             par_run: 1,
             flight: FlightConfig::Off,
             slo: None,
@@ -219,13 +211,6 @@ impl ExperimentPlan {
     /// Enable engine profiling on every point of the plan.
     pub fn with_profile(mut self, profile: bool) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Select the engine's future-event-list backend for every point.
-    /// Performance only — outputs and content digests are unchanged.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 

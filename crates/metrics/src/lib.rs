@@ -15,8 +15,6 @@
 //!   Log4j-style logs that Algorithm 1 consumes: per-tier RTT and TP).
 //! * [`SloSeries`] — per-second SLO-satisfaction series feeding the
 //!   statistical intervention analysis.
-//! * [`RevenueModel`] — the §II-B stepped SLA revenue schedule (earnings for
-//!   compliance minus penalties for violations).
 //! * [`BottleneckDetector`] — the multi-bottleneck classifier (stable vs
 //!   oscillatory saturation; the paper's excluded case, ref. \[9\]).
 //! * [`MetricsRegistry`] / [`RunMetrics`] — the fine-grained windowed
@@ -34,7 +32,6 @@ pub mod density;
 pub mod diagnosis;
 pub mod export;
 pub mod quantile;
-pub mod revenue;
 pub mod rt_dist;
 pub mod server_log;
 pub mod sla;
@@ -47,7 +44,6 @@ pub use density::UtilDensity;
 pub use diagnosis::{recovery_time_secs, Diagnosis, DiagnosisRules, Evidence};
 pub use export::MetricsSink;
 pub use quantile::QuantileSketch;
-pub use revenue::{RevenueModel, RevenueStep};
 pub use rt_dist::RtDistribution;
 pub use server_log::ServerLog;
 pub use sla::{SlaCounts, SlaModel};

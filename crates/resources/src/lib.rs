@@ -12,8 +12,6 @@
 //!   large thread pools.
 //! * [`FcfsServer`] — a first-come-first-served single server (disk head,
 //!   serialized log, …) with exact closed-form completion times.
-//! * [`NetLink`] — a network link with propagation latency and store-and-forward
-//!   bandwidth serialization.
 //! * [`SoftPool`] — a counted resource pool (worker threads, DB connections)
 //!   with FIFO waiting, wait-time accounting, occupancy tracking, and the
 //!   saturation statistics that the paper's allocation algorithm consumes.
@@ -23,12 +21,10 @@
 
 pub mod cpu;
 pub mod fcfs;
-pub mod link;
 pub mod pool;
 
 pub use cpu::{CpuConfig, CpuWindows, PsCpu};
 pub use fcfs::FcfsServer;
-pub use link::NetLink;
 pub use pool::{Acquire, PoolStats, PoolWindows, SoftPool};
 
 /// Identifier for a job inside a resource. The caller owns the namespace.

@@ -13,7 +13,7 @@
 //! to simulation output.
 
 use crate::profile::EngineProfile;
-use crate::queue::{EventQueue, PopNext, QueueKind, PROFILE_SAMPLE_MASK};
+use crate::queue::{EventQueue, PopNext, PROFILE_SAMPLE_MASK};
 use crate::time::SimTime;
 
 /// A simulation model: the domain state machine driven by the engine.
@@ -94,25 +94,18 @@ pub struct Engine<M: Model> {
 impl<M: Model> Engine<M> {
     /// Create an engine around `model` with an empty queue at time zero.
     pub fn new(model: M) -> Self {
-        Self::with_queue(model, QueueKind::default(), 1024)
+        Self::with_capacity(model, 1024)
     }
 
-    /// Create an engine whose event queue is pre-sized for `capacity` pending
-    /// events, avoiding reallocation churn in large closed-loop models where
-    /// the pending-event count scales with the population (e.g. one think
-    /// timer per emulated user).
+    /// Create an engine whose calendar queue starts with buckets for roughly
+    /// `capacity` pending events, sparing early grow-rebuilds in large
+    /// closed-loop models where the pending-event count scales with the
+    /// population (e.g. one think timer per emulated user). Layout only:
+    /// results are identical at any capacity.
     pub fn with_capacity(model: M, capacity: usize) -> Self {
-        Self::with_queue(model, QueueKind::default(), capacity)
-    }
-
-    /// Create an engine on an explicit queue backend, pre-sized for
-    /// `capacity` pending events. Backend choice is a pure performance knob:
-    /// both backends pop the identical `(time, seq)` sequence, so results
-    /// are bit-identical either way.
-    pub fn with_queue(model: M, kind: QueueKind, capacity: usize) -> Self {
         Engine {
             model,
-            queue: EventQueue::new_with(kind, capacity),
+            queue: EventQueue::with_capacity(capacity),
             events_processed: 0,
             telemetry: false,
             profiling: false,
@@ -326,61 +319,51 @@ mod tests {
     }
 
     fn engine() -> Engine<Recorder> {
-        Engine::new(Recorder {
-            seen: Vec::new(),
-            chain_remaining: 0,
-        })
+        engine_sized(16)
     }
 
-    fn engine_on(kind: QueueKind) -> Engine<Recorder> {
-        Engine::with_queue(
+    fn engine_sized(capacity: usize) -> Engine<Recorder> {
+        Engine::with_capacity(
             Recorder {
                 seen: Vec::new(),
                 chain_remaining: 0,
             },
-            kind,
-            16,
+            capacity,
         )
     }
 
     #[test]
     fn events_pop_in_time_order() {
-        for kind in QueueKind::ALL {
-            let mut e = engine_on(kind);
-            e.schedule(SimTime::from_micros(30), Ev::Tag(3));
-            e.schedule(SimTime::from_micros(10), Ev::Tag(1));
-            e.schedule(SimTime::from_micros(20), Ev::Tag(2));
-            e.run_until(SimTime::MAX);
-            assert_eq!(e.model().seen, vec![(10, 1), (20, 2), (30, 3)]);
-        }
+        let mut e = engine();
+        e.schedule(SimTime::from_micros(30), Ev::Tag(3));
+        e.schedule(SimTime::from_micros(10), Ev::Tag(1));
+        e.schedule(SimTime::from_micros(20), Ev::Tag(2));
+        e.run_until(SimTime::MAX);
+        assert_eq!(e.model().seen, vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
     fn same_time_events_are_fifo() {
-        for kind in QueueKind::ALL {
-            let mut e = engine_on(kind);
-            for id in 0..100 {
-                e.schedule(SimTime::from_micros(5), Ev::Tag(id));
-            }
-            e.run_until(SimTime::MAX);
-            let ids: Vec<u32> = e.model().seen.iter().map(|&(_, id)| id).collect();
-            assert_eq!(ids, (0..100).collect::<Vec<_>>());
+        let mut e = engine();
+        for id in 0..100 {
+            e.schedule(SimTime::from_micros(5), Ev::Tag(id));
         }
+        e.run_until(SimTime::MAX);
+        let ids: Vec<u32> = e.model().seen.iter().map(|&(_, id)| id).collect();
+        assert_eq!(ids, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn horizon_stops_and_advances_clock() {
-        for kind in QueueKind::ALL {
-            let mut e = engine_on(kind);
-            e.schedule(SimTime::from_micros(10), Ev::Tag(1));
-            e.schedule(SimTime::from_micros(100), Ev::Tag(2));
-            e.run_until(SimTime::from_micros(50));
-            assert_eq!(e.model().seen, vec![(10, 1)]);
-            assert_eq!(e.now(), SimTime::from_micros(50));
-            // The future event is still pending and runs on the next call.
-            e.run_until(SimTime::MAX);
-            assert_eq!(e.model().seen.len(), 2);
-        }
+        let mut e = engine();
+        e.schedule(SimTime::from_micros(10), Ev::Tag(1));
+        e.schedule(SimTime::from_micros(100), Ev::Tag(2));
+        e.run_until(SimTime::from_micros(50));
+        assert_eq!(e.model().seen, vec![(10, 1)]);
+        assert_eq!(e.now(), SimTime::from_micros(50));
+        // The future event is still pending and runs on the next call.
+        e.run_until(SimTime::MAX);
+        assert_eq!(e.model().seen.len(), 2);
     }
 
     #[test]
@@ -417,14 +400,12 @@ mod tests {
                 }
             }
         }
-        for kind in QueueKind::ALL {
-            let mut e = Engine::with_queue(M { order: vec![] }, kind, 16);
-            e.schedule(SimTime::ZERO, E2::First);
-            e.schedule(SimTime::ZERO, E2::Second);
-            e.run_until(SimTime::MAX);
-            // Injected runs after Second (FIFO at the same instant), not before.
-            assert_eq!(e.model().order, vec![1, 2, 3]);
-        }
+        let mut e = Engine::new(M { order: vec![] });
+        e.schedule(SimTime::ZERO, E2::First);
+        e.schedule(SimTime::ZERO, E2::Second);
+        e.run_until(SimTime::MAX);
+        // Injected runs after Second (FIFO at the same instant), not before.
+        assert_eq!(e.model().order, vec![1, 2, 3]);
     }
 
     #[test]
@@ -549,20 +530,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_presizes_queue_without_changing_results() {
-        // Pinned to the heap backend: its capacity is a pre-allocated slot
-        // count, so pre-sizing is directly observable. (The calendar queue
-        // sizes its bucket array from occupancy instead.)
-        let mut small = engine_on(QueueKind::Heap);
-        let mut big = Engine::with_queue(
-            Recorder {
-                seen: Vec::new(),
-                chain_remaining: 0,
-            },
-            QueueKind::Heap,
-            4096,
-        );
-        assert!(big.queue_mut().capacity() >= 4096);
+    fn queue_capacity_does_not_change_results() {
+        let mut small = engine_sized(1);
+        let mut big = engine_sized(4096);
         for e in [&mut small, &mut big] {
             for id in 0..50 {
                 e.schedule(SimTime::from_micros(100 - id as u64), Ev::Tag(id));
@@ -570,37 +540,25 @@ mod tests {
             e.run_until(SimTime::MAX);
         }
         assert_eq!(small.model().seen, big.model().seen);
-        assert!(big.stats().queue_capacity >= 4096);
+        assert_eq!(small.stats().queue_high_water, 50);
         assert_eq!(big.stats().queue_high_water, 50);
-    }
-
-    #[test]
-    fn reserve_grows_capacity() {
-        // Heap backend: reserve pre-allocates slots. (Calendar buckets
-        // ignore reserve by design — they size from occupancy.)
-        let mut e = engine_on(QueueKind::Heap);
-        let before = e.queue_mut().capacity();
-        e.queue_mut().reserve(before + 1000);
-        assert!(e.queue_mut().capacity() > before);
     }
 
     #[test]
     fn queue_introspection() {
         let mut e = engine();
         assert!(e.queue_mut().is_empty());
-        assert_eq!(e.queue_mut().kind(), QueueKind::default());
         e.schedule(SimTime::from_micros(7), Ev::Tag(0));
         assert_eq!(e.queue_mut().len(), 1);
         assert_eq!(e.queue_mut().peek_time(), Some(SimTime::from_micros(7)));
     }
 
     /// Staged arrivals flow through a full engine run exactly like pushed
-    /// ones: identical event history, counters, and telemetry on both
-    /// backends.
+    /// ones: identical event history, counters, and telemetry.
     #[test]
     fn staged_arrivals_run_bit_identically_to_pushed_ones() {
-        let run = |kind: QueueKind, stage: bool| {
-            let mut e = engine_on(kind);
+        let run = |stage: bool| {
+            let mut e = engine();
             e.model_mut().chain_remaining = 40;
             let arrivals = [(70u64, 0u32), (10, 1), (10, 2), (35, 3), (0, 4)];
             for &(at, id) in &arrivals {
@@ -619,10 +577,6 @@ mod tests {
                 e.stats().queue_high_water,
             )
         };
-        let baseline = run(QueueKind::Heap, false);
-        for kind in QueueKind::ALL {
-            assert_eq!(run(kind, true), baseline, "staged run diverged on {kind}");
-            assert_eq!(run(kind, false), baseline, "pushed run diverged on {kind}");
-        }
+        assert_eq!(run(true), run(false));
     }
 }

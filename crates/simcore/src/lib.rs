@@ -10,8 +10,7 @@
 //!   the model is a plain `&mut` state machine, events are a user-defined enum,
 //!   and the engine pops events in `(time, insertion-order)` order. No `Rc`,
 //!   no `RefCell`, no dynamic dispatch on the hot path. The future-event list
-//!   is backend-pluggable ([`queue`]: binary heap or calendar queue, selected
-//!   by [`QueueKind`]) with provably identical pop order either way.
+//!   is a calendar queue ([`queue`]), checked against a binary-heap oracle.
 //! * [`rng`] — deterministic, forkable random-number streams so that every
 //!   experiment is exactly reproducible and parallel parameter sweeps are
 //!   independent of scheduling order.
@@ -34,9 +33,7 @@ pub mod time;
 
 pub use engine::{Engine, EngineStats, Model, StepResult};
 pub use profile::{peak_rss_bytes, EngineProfile, ShardLoad};
-pub use queue::{
-    CalendarBackend, EventQueue, EventQueueBackend, HeapBackend, QueueKind, Scheduled,
-};
+pub use queue::{EventQueue, Scheduled};
 pub use rng::RunRng;
 pub use shard::{shard_key, ShardIo, ShardModel, ShardedEngine, SHARD_KEY_BITS};
 pub use time::SimTime;

@@ -1,32 +1,17 @@
-//! Pluggable future-event-list backends and the staged-arrivals lane.
+//! The future-event list (a calendar queue) and the staged-arrivals lane.
 //!
 //! The engine's pending-event set is a strict total order on `(time,
 //! insertion-seq)`: earlier times first, FIFO among events scheduled for the
-//! same instant. *Which data structure maintains that order is a pure
-//! performance choice* — every backend must pop the exact same sequence, so
-//! swapping backends can never change simulation output. That invariant is
-//! what lets the backend be selected per run (`--queue heap|calendar`)
-//! without invalidating golden digests or content-addressed artifact stores.
+//! same instant. One data structure maintains that order in production:
+//! `CalendarBackend`, a calendar queue (Brown 1988). Events hash into time
+//! buckets ("days") of width `2^shift` µs; pops scan forward from the current
+//! day. Push and pop are amortized `O(1)` when the bucket width tracks the
+//! event-time spread, which the backend re-tunes on resize.
 //!
-//! Two backends ship today:
-//!
-//! * [`HeapBackend`] — the classic binary heap: `O(log n)` push/pop,
-//!   excellent constants, no tuning. The default.
-//! * [`CalendarBackend`] — a calendar queue (Brown 1988): events hash into
-//!   time buckets ("days") of width `2^shift` µs; pops scan forward from the
-//!   current day. Push and pop are amortized `O(1)` when the bucket width
-//!   tracks the event-time spread, which the backend re-tunes on resize.
-//!
-//! # Adding a backend
-//!
-//! Implement [`EventQueueBackend`] for the new structure, add a variant to
-//! [`QueueKind`] and to the private dispatch enum inside [`EventQueue`], and
-//! extend the differential property tests in this module (and
-//! `tests/queue_backends.rs` at the workspace root) so the new backend is
-//! proven against the heap on randomized schedules, ties included. Dispatch
-//! is a two-armed `match` on a concrete enum rather than `dyn` — the pop/push
-//! pair runs hundreds of millions of times per run, and a vtable call per
-//! event is measurable where a predictable branch is not.
+//! A binary heap pops the same order; the calendar is used because it
+//! measured faster at every point of the perf suite (`DESIGN.md` §12). The
+//! heap lives on in this module's tests, as the oracle the calendar's pop
+//! order is checked against on randomized schedules, ties included.
 //!
 //! # The staged-arrivals lane
 //!
@@ -43,54 +28,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-use std::str::FromStr;
-
-/// Which future-event-list backend an engine run uses.
-///
-/// Purely an execution/performance knob: both backends produce bit-identical
-/// pop order (proven by differential tests and per-backend golden digests),
-/// so this deliberately does **not** participate in experiment content
-/// addressing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// Binary-heap future event list: `O(log n)`, no tuning.
-    Heap,
-    /// Calendar queue: bucketed by time, amortized `O(1)` push/pop when
-    /// bucket width matches the event-time spread (self-tuned on resize).
-    /// The default: measured fastest at every point of the perf suite,
-    /// from 0.4M-event table runs to the 1M-session stress point (see
-    /// `DESIGN.md` §12 for the crossover measurement).
-    #[default]
-    Calendar,
-}
-
-impl QueueKind {
-    /// All backends, for "run the suite once per backend" loops.
-    pub const ALL: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-}
-
-impl FromStr for QueueKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" => Ok(QueueKind::Heap),
-            "calendar" => Ok(QueueKind::Calendar),
-            other => Err(format!(
-                "unknown queue backend '{other}' (expected 'heap' or 'calendar')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueueKind::Heap => write!(f, "heap"),
-            QueueKind::Calendar => write!(f, "calendar"),
-        }
-    }
-}
+use std::collections::VecDeque;
 
 /// One pending event: the payload plus its total-order key `(at, seq)`.
 ///
@@ -132,82 +70,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A future-event-list backend: maintains pending [`Scheduled`] events and
-/// yields them in strictly ascending `(at, seq)` order.
-///
-/// The contract every implementation must honor (and the differential tests
-/// enforce): `pop_min` returns the pending event with the smallest key;
-/// `min_key`/`peek_min` report that key without removing it. Internal layout
-/// (heap shape, bucket widths, resize timing) must never influence the pop
-/// order, only its cost.
-pub trait EventQueueBackend<E> {
-    /// Insert one pending event.
-    fn push(&mut self, item: Scheduled<E>);
-    /// Key of the minimum pending event; may memoize the located position so
-    /// an immediately following [`pop_min`](Self::pop_min) is `O(1)`.
-    fn min_key(&mut self) -> Option<(SimTime, u64)>;
-    /// Key of the minimum pending event without any memoization (`&self`).
-    fn peek_min(&self) -> Option<(SimTime, u64)>;
-    /// Remove and return the minimum pending event.
-    fn pop_min(&mut self) -> Option<Scheduled<E>>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Allocated capacity (best effort; for telemetry).
-    fn capacity(&self) -> usize;
-    /// Pre-size for at least `additional` more events (may be a no-op for
-    /// backends that size themselves).
-    fn reserve(&mut self, additional: usize);
-}
-
-/// Binary-heap backend: `std::collections::BinaryHeap` over
-/// [`Reverse`](std::cmp::Reverse)d entries so the max-heap pops the minimum.
-#[derive(Debug)]
-pub struct HeapBackend<E> {
-    heap: BinaryHeap<std::cmp::Reverse<Scheduled<E>>>,
-}
-
-impl<E> HeapBackend<E> {
-    /// Create with room for `capacity` pending events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapBackend {
-            heap: BinaryHeap::with_capacity(capacity),
-        }
-    }
-}
-
-impl<E> EventQueueBackend<E> for HeapBackend<E> {
-    #[inline]
-    fn push(&mut self, item: Scheduled<E>) {
-        self.heap.push(std::cmp::Reverse(item));
-    }
-    #[inline]
-    fn min_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|r| r.0.key())
-    }
-    #[inline]
-    fn peek_min(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|r| r.0.key())
-    }
-    #[inline]
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop().map(|r| r.0)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-    fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-    fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-}
-
 /// Smallest bucket-array size the calendar queue will shrink to.
 const MIN_BUCKETS: usize = 64;
 /// Largest bucket-array size (bounds the empty-bucket memory overhead; past
@@ -235,11 +97,11 @@ const MAX_SHIFT: u32 = 40;
 /// Determinism: pop order is decided *only* by `(at, seq)` comparisons —
 /// bucket count, width, and resize timing affect where events sit, never
 /// which one is the minimum — so the calendar queue pops the exact sequence
-/// the heap does. (The invariant that makes the day-scan sound: every
+/// a binary heap would. (The invariant that makes the day-scan sound: every
 /// pending event's day is ≥ `cur_day`, because the engine never schedules
 /// before `now` and `cur_day` only tracks popped minima.)
 #[derive(Debug)]
-pub struct CalendarBackend<E> {
+pub(crate) struct CalendarBackend<E> {
     buckets: Vec<VecDeque<Scheduled<E>>>,
     /// `buckets.len() - 1`; bucket index = `day & mask`.
     mask: u64,
@@ -256,7 +118,7 @@ pub struct CalendarBackend<E> {
 
 impl<E> CalendarBackend<E> {
     /// Create sized for roughly `capacity` pending events.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let nbuckets = capacity.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         CalendarBackend {
             buckets: (0..nbuckets).map(|_| VecDeque::new()).collect(),
@@ -342,10 +204,9 @@ impl<E> CalendarBackend<E> {
             self.insert_item(item);
         }
     }
-}
 
-impl<E> EventQueueBackend<E> for CalendarBackend<E> {
-    fn push(&mut self, item: Scheduled<E>) {
+    /// Insert one pending event.
+    pub(crate) fn push(&mut self, item: Scheduled<E>) {
         if self.len + 1 > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
             self.rebuild(self.len + 1);
         }
@@ -362,7 +223,9 @@ impl<E> EventQueueBackend<E> for CalendarBackend<E> {
         self.len += 1;
     }
 
-    fn min_key(&mut self) -> Option<(SimTime, u64)> {
+    /// Key of the minimum pending event; memoizes its location so an
+    /// immediately following [`pop_min`](Self::pop_min) is `O(1)`.
+    pub(crate) fn min_key(&mut self) -> Option<(SimTime, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -374,7 +237,8 @@ impl<E> EventQueueBackend<E> for CalendarBackend<E> {
         Some((found.1, found.2))
     }
 
-    fn peek_min(&self) -> Option<(SimTime, u64)> {
+    /// Key of the minimum pending event without memoizing (`&self`).
+    pub(crate) fn peek_min(&self) -> Option<(SimTime, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -385,7 +249,8 @@ impl<E> EventQueueBackend<E> for CalendarBackend<E> {
         Some((at, seq))
     }
 
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
+    /// Remove and return the minimum pending event.
+    pub(crate) fn pop_min(&mut self) -> Option<Scheduled<E>> {
         if self.len == 0 {
             return None;
         }
@@ -405,80 +270,15 @@ impl<E> EventQueueBackend<E> for CalendarBackend<E> {
         Some(item)
     }
 
+    /// Number of pending events.
     #[inline]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    fn capacity(&self) -> usize {
+    /// Allocated event slots across all buckets (for telemetry).
+    pub(crate) fn capacity(&self) -> usize {
         self.buckets.iter().map(|b| b.capacity()).sum::<usize>()
-    }
-
-    fn reserve(&mut self, _additional: usize) {
-        // The bucket array resizes itself from occupancy; per-bucket
-        // reservations would only pin memory without helping pop cost.
-    }
-}
-
-/// Backend dispatch. A concrete enum instead of `dyn EventQueueBackend` so
-/// the per-event push/pop stays a predictable branch, not a vtable call.
-#[derive(Debug)]
-pub(crate) enum BackendImpl<E> {
-    Heap(HeapBackend<E>),
-    Calendar(CalendarBackend<E>),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $b:ident => $body:expr) => {
-        match $self {
-            BackendImpl::Heap($b) => $body,
-            BackendImpl::Calendar($b) => $body,
-        }
-    };
-}
-
-impl<E> EventQueueBackend<E> for BackendImpl<E> {
-    #[inline]
-    fn push(&mut self, item: Scheduled<E>) {
-        dispatch!(self, b => b.push(item))
-    }
-    #[inline]
-    fn min_key(&mut self) -> Option<(SimTime, u64)> {
-        dispatch!(self, b => b.min_key())
-    }
-    #[inline]
-    fn peek_min(&self) -> Option<(SimTime, u64)> {
-        dispatch!(self, b => b.peek_min())
-    }
-    #[inline]
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        dispatch!(self, b => b.pop_min())
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        dispatch!(self, b => b.len())
-    }
-    fn capacity(&self) -> usize {
-        dispatch!(self, b => b.capacity())
-    }
-    fn reserve(&mut self, additional: usize) {
-        dispatch!(self, b => b.reserve(additional))
-    }
-}
-
-impl<E> BackendImpl<E> {
-    pub(crate) fn new(kind: QueueKind, capacity: usize) -> Self {
-        match kind {
-            QueueKind::Heap => BackendImpl::Heap(HeapBackend::with_capacity(capacity)),
-            QueueKind::Calendar => BackendImpl::Calendar(CalendarBackend::with_capacity(capacity)),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> QueueKind {
-        match self {
-            BackendImpl::Heap(_) => QueueKind::Heap,
-            BackendImpl::Calendar(_) => QueueKind::Calendar,
-        }
     }
 }
 
@@ -502,11 +302,10 @@ pub(crate) enum PopNext<E> {
 
 /// The pending-event set, exposed to models for scheduling.
 ///
-/// Internally a pluggable [`EventQueueBackend`] (selected by [`QueueKind`])
-/// plus the staged-arrivals lane (see module docs); externally the same
-/// strict `(time, insertion-seq)` total order regardless of backend.
+/// Internally a calendar queue plus the staged-arrivals lane (see module
+/// docs); externally one strict `(time, insertion-seq)` total order.
 pub struct EventQueue<E> {
-    backend: BackendImpl<E>,
+    backend: CalendarBackend<E>,
     /// Pre-run staged events; sorted *descending* by key on first pop so the
     /// current front is `last()` and consuming it is a by-value `pop()`.
     staged: Vec<Scheduled<E>>,
@@ -522,11 +321,11 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create a queue with the given backend, pre-sized for `capacity`
-    /// pending events.
-    pub fn new_with(kind: QueueKind, capacity: usize) -> Self {
+    /// Create a queue whose calendar starts with buckets for roughly
+    /// `capacity` pending events.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            backend: BackendImpl::new(kind, capacity),
+            backend: CalendarBackend::with_capacity(capacity),
             staged: Vec::new(),
             staged_sorted: true,
             started: false,
@@ -537,12 +336,6 @@ impl<E> EventQueue<E> {
             sched_secs: 0.0,
             timed_pushes: 0,
         }
-    }
-
-    /// Which backend this queue runs on.
-    #[inline]
-    pub fn kind(&self) -> QueueKind {
-        self.backend.kind()
     }
 
     /// Push onto the backend, maintaining the insertion sequence and
@@ -567,15 +360,6 @@ impl<E> EventQueue<E> {
         }
         self.seq += 1;
         self.high_water = self.high_water.max(self.len());
-    }
-
-    /// Reserve room for at least `additional` more pending events.
-    ///
-    /// Pre-sizing is purely an allocation hint: backend layout never affects
-    /// pop order (the schedule is a strict total order on `(time, seq)`), so
-    /// this cannot change simulation results.
-    pub fn reserve(&mut self, additional: usize) {
-        self.backend.reserve(additional);
     }
 
     /// Current allocated capacity of the pending-event backend.
@@ -805,6 +589,30 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::testkit::{check, Gen};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The oracle the calendar is checked against: a binary heap over
+    /// reversed entries, so the max-heap pops the minimum `(at, seq)`.
+    struct HeapBackend(BinaryHeap<Reverse<Scheduled<u64>>>);
+
+    impl HeapBackend {
+        fn new() -> Self {
+            HeapBackend(BinaryHeap::new())
+        }
+        fn push(&mut self, item: Scheduled<u64>) {
+            self.0.push(Reverse(item));
+        }
+        fn peek_min(&self) -> Option<(SimTime, u64)> {
+            self.0.peek().map(|r| r.0.key())
+        }
+        fn pop_min(&mut self) -> Option<Scheduled<u64>> {
+            self.0.pop().map(|r| r.0)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
 
     fn sched(at_us: u64, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -814,12 +622,13 @@ mod tests {
         }
     }
 
-    /// Drive both backends through an identical randomized push/pop script
-    /// and assert identical pop sequences, ties included.
+    /// Drive the calendar and the heap oracle through an identical
+    /// randomized push/pop script and assert identical pop sequences, ties
+    /// included.
     #[test]
-    fn backends_pop_identically_on_randomized_schedules() {
+    fn calendar_pops_like_the_heap_on_randomized_schedules() {
         check(200, |g: &mut Gen| {
-            let mut heap = HeapBackend::with_capacity(8);
+            let mut heap = HeapBackend::new();
             let mut cal = CalendarBackend::with_capacity(8);
             let mut seq = 0u64;
             let mut floor = 0u64; // pops only move time forward
@@ -854,7 +663,7 @@ mod tests {
                         seq += 1;
                     }
                 } else {
-                    assert_eq!(heap.min_key(), cal.min_key());
+                    assert_eq!(heap.peek_min(), cal.min_key());
                     assert_eq!(heap.peek_min(), cal.peek_min());
                     let a = heap.pop_min().map(|s| (s.at, s.seq, s.event));
                     let b = cal.pop_min().map(|s| (s.at, s.seq, s.event));
@@ -886,10 +695,10 @@ mod tests {
     /// start, and the year-scan returned a later event first.
     #[test]
     fn pushes_behind_a_regrown_calendar_year_still_pop_first() {
-        let mut heap = HeapBackend::with_capacity(8);
+        let mut heap = HeapBackend::new();
         let mut cal = CalendarBackend::with_capacity(8);
         let mut seq = 0u64;
-        let mut push = |h: &mut HeapBackend<u64>, c: &mut CalendarBackend<u64>, at: u64| {
+        let mut push = |h: &mut HeapBackend, c: &mut CalendarBackend<u64>, at: u64| {
             h.push(sched(at, seq));
             c.push(sched(at, seq));
             seq += 1;
@@ -906,7 +715,7 @@ mod tests {
             push(&mut heap, &mut cal, 10_000_000 + i);
         }
         // A later push at 32.7 ms — ≥ now, far below every pending event —
-        // must still pop first on both backends.
+        // must still pop first, as it does from the heap.
         push(&mut heap, &mut cal, 32_699);
         assert_eq!(cal.peek_min(), Some((SimTime::from_micros(32_699), 301)));
         loop {
@@ -962,59 +771,57 @@ mod tests {
     }
 
     /// The staged lane is indistinguishable from upfront pushes: same pop
-    /// sequence, same seqs, same counters — on both backends, with follow-up
-    /// events scheduled mid-run to interleave with still-staged arrivals.
+    /// sequence, same seqs, same counters — with follow-up events scheduled
+    /// mid-run to interleave with still-staged arrivals.
     #[test]
     fn staged_lane_matches_upfront_pushes_exactly() {
         check(100, |g: &mut Gen| {
-            for kind in QueueKind::ALL {
-                let mut staged = EventQueue::new_with(kind, 8);
-                let mut pushed = EventQueue::new_with(kind, 8);
-                let n = g.usize_in(1, 60);
-                let arrivals: Vec<u64> = (0..n)
-                    .map(|_| {
-                        if g.chance(0.2) {
-                            500
-                        } else {
-                            g.u64_in(0, 10_000)
-                        }
-                    })
-                    .collect();
-                for &at in &arrivals {
-                    staged.stage(SimTime::from_micros(at), at);
-                    pushed.schedule(SimTime::from_micros(at), at);
-                }
-                let mut chain = g.usize_in(0, 20);
-                loop {
-                    let a = match staged.pop_at_most(SimTime::MAX) {
-                        PopNext::Event(s) => Some((s.at, s.seq, s.event)),
-                        _ => None,
-                    };
-                    let b = match pushed.pop_at_most(SimTime::MAX) {
-                        PopNext::Event(s) => Some((s.at, s.seq, s.event)),
-                        _ => None,
-                    };
-                    assert_eq!(a, b, "backend {kind} diverged (seed {})", g.seed());
-                    let Some((at, _, _)) = a else { break };
-                    // Mid-run follow-ups land among still-staged arrivals.
-                    if chain > 0 {
-                        chain -= 1;
-                        let delta = SimTime::from_micros(g.u64_in(0, 3_000));
-                        staged.schedule_after(delta, at.as_micros() + 1);
-                        pushed.schedule_after(delta, at.as_micros() + 1);
+            let mut staged = EventQueue::with_capacity(8);
+            let mut pushed = EventQueue::with_capacity(8);
+            let n = g.usize_in(1, 60);
+            let arrivals: Vec<u64> = (0..n)
+                .map(|_| {
+                    if g.chance(0.2) {
+                        500
+                    } else {
+                        g.u64_in(0, 10_000)
                     }
-                }
-                assert_eq!(staged.scheduled(), pushed.scheduled());
-                assert_eq!(staged.high_water(), pushed.high_water());
-                assert!(staged.is_empty() && pushed.is_empty());
+                })
+                .collect();
+            for &at in &arrivals {
+                staged.stage(SimTime::from_micros(at), at);
+                pushed.schedule(SimTime::from_micros(at), at);
             }
+            let mut chain = g.usize_in(0, 20);
+            loop {
+                let a = match staged.pop_at_most(SimTime::MAX) {
+                    PopNext::Event(s) => Some((s.at, s.seq, s.event)),
+                    _ => None,
+                };
+                let b = match pushed.pop_at_most(SimTime::MAX) {
+                    PopNext::Event(s) => Some((s.at, s.seq, s.event)),
+                    _ => None,
+                };
+                assert_eq!(a, b, "diverged (seed {})", g.seed());
+                let Some((at, _, _)) = a else { break };
+                // Mid-run follow-ups land among still-staged arrivals.
+                if chain > 0 {
+                    chain -= 1;
+                    let delta = SimTime::from_micros(g.u64_in(0, 3_000));
+                    staged.schedule_after(delta, at.as_micros() + 1);
+                    pushed.schedule_after(delta, at.as_micros() + 1);
+                }
+            }
+            assert_eq!(staged.scheduled(), pushed.scheduled());
+            assert_eq!(staged.high_water(), pushed.high_water());
+            assert!(staged.is_empty() && pushed.is_empty());
         });
     }
 
     #[test]
     #[should_panic(expected = "run has already started")]
     fn staging_after_the_first_pop_panics() {
-        let mut q = EventQueue::new_with(QueueKind::Heap, 4);
+        let mut q = EventQueue::with_capacity(4);
         q.schedule(SimTime::from_micros(1), 1u64);
         let _ = q.pop_at_most(SimTime::MAX);
         q.stage(SimTime::from_micros(2), 2u64);
@@ -1022,7 +829,7 @@ mod tests {
 
     #[test]
     fn peek_time_sees_staged_and_backend_events() {
-        let mut q = EventQueue::new_with(QueueKind::Calendar, 4);
+        let mut q = EventQueue::with_capacity(4);
         assert_eq!(q.peek_time(), None);
         q.schedule(SimTime::from_micros(9), 0u64);
         q.stage(SimTime::from_micros(4), 1u64);
@@ -1034,15 +841,5 @@ mod tests {
             _ => panic!("expected an event"),
         }
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-    }
-
-    #[test]
-    fn queue_kind_parses_and_displays() {
-        assert_eq!("heap".parse::<QueueKind>(), Ok(QueueKind::Heap));
-        assert_eq!(" Calendar ".parse::<QueueKind>(), Ok(QueueKind::Calendar));
-        assert!("fibonacci".parse::<QueueKind>().is_err());
-        assert_eq!(QueueKind::Heap.to_string(), "heap");
-        assert_eq!(QueueKind::Calendar.to_string(), "calendar");
-        assert_eq!(QueueKind::default(), QueueKind::Calendar);
     }
 }

@@ -43,7 +43,7 @@
 //! [`ShardedEngine::finish_observations`].
 use crate::engine::EngineStats;
 use crate::profile::{peak_rss_bytes, EngineProfile, ShardLoad};
-use crate::queue::{EventQueue, PopNext, QueueKind, PROFILE_SAMPLE_MASK};
+use crate::queue::{EventQueue, PopNext, PROFILE_SAMPLE_MASK};
 
 /// Round-timing sample mask for the *serial* round loop: busy clocks are
 /// read on a deterministic 1-in-16 sample of rounds and scaled back up
@@ -272,20 +272,14 @@ pub struct ShardedEngine<M: ShardModel> {
 
 impl<M: ShardModel> ShardedEngine<M> {
     /// Build an engine over `models` (one per shard) with the given
-    /// cross-shard lookahead, worker-thread budget, queue backend, and
-    /// initial per-shard capacity hint.
+    /// cross-shard lookahead, worker-thread budget, and initial per-shard
+    /// queue capacity hint.
     ///
     /// # Panics
     /// If `models` is empty, or if a multi-shard layout comes with a zero
     /// lookahead (callers are expected to collapse such layouts to one
     /// shard — zero lookahead admits no concurrency).
-    pub fn new(
-        models: Vec<M>,
-        lookahead: SimTime,
-        threads: usize,
-        kind: QueueKind,
-        capacity: usize,
-    ) -> Self {
+    pub fn new(models: Vec<M>, lookahead: SimTime, threads: usize, capacity: usize) -> Self {
         assert!(
             !models.is_empty(),
             "a sharded engine needs at least one shard"
@@ -299,7 +293,7 @@ impl<M: ShardModel> ShardedEngine<M> {
             .into_iter()
             .map(|model| ShardState {
                 model,
-                queue: EventQueue::new_with(kind, capacity),
+                queue: EventQueue::with_capacity(capacity),
                 counter: 0,
                 obs_counter: 0,
                 outbox: (0..n).map(|_| Vec::new()).collect(),
@@ -410,11 +404,6 @@ impl<M: ShardModel> ShardedEngine<M> {
         let key = shard_key(shard, s.counter);
         s.counter += 1;
         s.queue.stage_keyed(at, key, event);
-    }
-
-    /// Pre-size shard `shard`'s event list for `additional` more events.
-    pub fn reserve(&mut self, shard: usize, additional: usize) {
-        self.shards[shard].queue.reserve(additional);
     }
 
     /// Run until simulated time `until` (inclusive), then advance every
@@ -889,7 +878,6 @@ fn run_shard_round<M: ShardModel>(
 mod tests {
     use super::*;
     use crate::engine::{Engine, Model};
-    use crate::queue::QueueKind;
 
     const HOP: SimTime = SimTime(10);
 
@@ -958,7 +946,7 @@ mod tests {
 
     fn ring(n: usize, threads: usize) -> ShardedEngine<RingShard> {
         let models = (0..n).map(|_| RingShard::new(n, 40)).collect();
-        let mut eng = ShardedEngine::new(models, HOP, threads, QueueKind::Heap, 16);
+        let mut eng = ShardedEngine::new(models, HOP, threads, 16);
         eng.enable_telemetry();
         eng.schedule(0, SimTime(5), Tok::Pass(0));
         eng.schedule(1, SimTime(7), Tok::Pass(20));
@@ -1033,7 +1021,7 @@ mod tests {
         serial.run_to_quiescence(100_000);
 
         let models = vec![RingShard::new(1, 40)];
-        let mut sharded = ShardedEngine::new(models, SimTime::ZERO, 1, QueueKind::Calendar, 16);
+        let mut sharded = ShardedEngine::new(models, SimTime::ZERO, 1, 16);
         sharded.schedule(0, SimTime(5), Tok::Pass(0));
         sharded.schedule(0, SimTime(7), Tok::Pass(20));
         sharded.run_to_quiescence(100_000);
@@ -1068,7 +1056,7 @@ mod tests {
                 "cheat"
             }
         }
-        let mut eng = ShardedEngine::new(vec![Cheater, Cheater], HOP, 1, QueueKind::Heap, 4);
+        let mut eng = ShardedEngine::new(vec![Cheater, Cheater], HOP, 1, 4);
         eng.schedule(0, SimTime(3), 0);
         eng.run_to_quiescence(10);
     }
@@ -1107,7 +1095,7 @@ mod tests {
 
     #[test]
     fn keyed_pushes_order_by_time_then_key() {
-        let mut q: EventQueue<u32> = EventQueue::new_with(QueueKind::Heap, 4);
+        let mut q: EventQueue<u32> = EventQueue::with_capacity(4);
         q.push_keyed(SimTime(5), shard_key(1, 0), 10);
         q.push_keyed(SimTime(5), shard_key(0, 7), 20);
         q.push_keyed(SimTime(3), shard_key(2, 1), 30);

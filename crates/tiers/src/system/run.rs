@@ -39,18 +39,6 @@ impl RunTrace {
     }
 }
 
-/// Queue capacity estimate for a closed-loop run with `users` sessions.
-///
-/// Session arrivals stream in from the staged lane, so the backend never
-/// holds the whole pre-run population; at steady state each session keeps
-/// at most one think/request event pending, and the 25% headroom covers
-/// CPU checks, timeouts, GC ends, and sampling. Capacity only avoids
-/// reallocation; it never changes pop order.
-pub(super) fn event_capacity_hint(users: u32) -> usize {
-    let u = users as usize;
-    u.saturating_add(u / 4).max(256)
-}
-
 /// Seed the initial event population: session starts across the ramp, the
 /// measurement-window markers, and — only for tiers with scheduled crash
 /// windows — the crash/recovery events. The healthy prefix is scheduled in
@@ -106,16 +94,10 @@ pub(super) fn seed_engine_events(engine: &mut ShardedEngine<System>) {
 /// layout's lookahead. A single-shard layout (zero lookahead, or a chain
 /// with no query tiers) degenerates to the classic serial run.
 pub(super) fn build_engine(cfg: SystemConfig) -> ShardedEngine<System> {
-    let users = cfg.workload.users;
     let threads = cfg.par_run.max(1) as usize;
-    let queue = cfg.queue;
     let shards = System::shards(cfg).expect("invalid topology");
     let lookahead = shards[0].layout().lookahead;
-    let mut engine = ShardedEngine::new(shards, lookahead, threads, queue, 1024);
-    // Pre-size the front queue for the closed-loop population (capacity
-    // only avoids reallocation; it never changes pop order).
-    engine.reserve(0, event_capacity_hint(users));
-    engine
+    ShardedEngine::new(shards, lookahead, threads, 1024)
 }
 
 /// Fold the back shards' telemetry into the front shard after a run:

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Flags (all optional): the shared [`BenchArgs`] set (`--hw`, `--soft`,
-//! `--users N`, `--quick`, `--queue`, `--par-run`, `--profile`) plus the
-//! dashboard's own extras, picked out of [`BenchArgs::rest`]:
+//! `--users N`, `--quick`, `--par-run`, `--profile`) plus the dashboard's
+//! own extras, picked out of [`BenchArgs::rest`]:
 //!
 //! * `--window MS` — metrics window in milliseconds (default 100).
 //! * `--csv PATH` — also dump the per-window series as CSV.
@@ -61,7 +61,7 @@ fn parse_extras(rest: &[String]) -> Result<Extras, String> {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse_with(&["--window", "--csv", "--gnuplot"]);
     let extras = match parse_extras(&args.rest) {
         Ok(extras) => extras,
         Err(e) => {
@@ -74,19 +74,15 @@ fn main() {
     let users = args.users_or(vec![3000])[0];
 
     // One metered single-point plan through the shared engine. The shared
-    // plan-level knobs ride along: `--queue` and `--par-run` are
-    // semantics-neutral performance flags, `--profile` adds the engine
-    // summary (with per-shard load rows on a parallel run) after the
-    // dashboard.
+    // plan-level knobs ride along: `--par-run` is a semantics-neutral
+    // performance flag, `--profile` adds the engine summary (with per-shard
+    // load rows on a parallel run) after the dashboard.
     let mut plan = ExperimentPlan::new("metrics-dashboard")
         .with_schedule(args.schedule())
         .with_variant(Variant::paper(hw, soft))
         .with_users([users])
         .with_metrics(MetricsConfig::windowed(extras.window))
         .with_profile(args.profile);
-    if let Some(kind) = args.queue {
-        plan = plan.with_queue(kind);
-    }
     if let Some(n) = args.par_run {
         plan = plan.with_par_run(n);
     }

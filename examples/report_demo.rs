@@ -22,7 +22,7 @@ use rubbos_ntier::ntier_report::{experiments, render};
 use rubbos_ntier::prelude::*;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse_with(&["--patch-experiments"]);
     let patch_experiments = args.rest.iter().any(|f| f == "--patch-experiments");
     let users = args.users_or(vec![1500, 2500, 3500, 4500, 5500]);
 

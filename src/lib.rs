@@ -34,7 +34,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`simcore`] | discrete-event engine, RNG streams, statistics |
-//! | [`resources`] | PS-CPU, FCFS disk, links, soft pools |
+//! | [`resources`] | PS-CPU, FCFS disk, soft pools |
 //! | [`jvm_gc`] | stop-the-world garbage collector model |
 //! | [`workload`] | RUBBoS interactions, mixes, closed-loop sessions |
 //! | [`tiers`] | the 4-tier system model and trial runner |
@@ -83,7 +83,6 @@ pub mod prelude {
         folded_stacks, load_sweep, write_flamegraph, BenchReport, CurveShape, Report, ReportError,
         RunDiff, SweepSummary, UslFit,
     };
-    pub use simcore::QueueKind;
     pub use workload;
 }
 

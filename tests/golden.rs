@@ -124,7 +124,7 @@ fn run_golden(hw: HardwareConfig, users: u32) -> (u64, u64) {
 }
 
 fn run_golden_with(hw: HardwareConfig, users: u32, metrics: MetricsConfig) -> (u64, u64) {
-    run_golden_cfg(hw, users, metrics, false, QueueKind::default())
+    run_golden_cfg(hw, users, metrics, false)
 }
 
 fn run_golden_cfg(
@@ -132,14 +132,12 @@ fn run_golden_cfg(
     users: u32,
     metrics: MetricsConfig,
     profile: bool,
-    queue: QueueKind,
 ) -> (u64, u64) {
     let mut cfg = SystemConfig::new(hw, SoftAllocation::rule_of_thumb(), users);
     cfg.workload = WorkloadConfig::quick(users);
     cfg.trace = TraceConfig::Sampled(0.25);
     cfg.metrics = metrics;
     cfg.profile = profile;
-    cfg.queue = queue;
     let (out, trace) = run_system_traced(cfg);
     let jsonl = export::to_jsonl(trace.spans.iter());
     assert!(!trace.spans.is_empty(), "sampled run produced no spans");
@@ -235,7 +233,6 @@ fn golden_digests_unchanged_with_profiling_enabled() {
         2000,
         MetricsConfig::Off,
         true,
-        QueueKind::default(),
     );
     assert_eq!(
         out, GOLD_1212_OUT,
@@ -250,7 +247,6 @@ fn golden_digests_unchanged_with_profiling_enabled() {
         2400,
         MetricsConfig::Off,
         true,
-        QueueKind::default(),
     );
     assert_eq!(
         out, GOLD_1414_OUT,
@@ -260,48 +256,6 @@ fn golden_digests_unchanged_with_profiling_enabled() {
         trace, GOLD_1414_TRACE,
         "engine profiling perturbed 1/4/1/4 trace: got {trace:#018x}"
     );
-}
-
-/// The event-queue backend is a pure performance knob: both the binary heap
-/// and the calendar queue must pop the identical (time, seq) sequence, so a
-/// run forced through *either* backend reproduces the pinned digests bit
-/// for bit — the same constants captured before backends existed at all.
-/// This is the end-to-end half of the differential proof (the unit half
-/// lives in `simcore::queue` and `tests/queue_backends.rs`).
-#[test]
-fn golden_digests_identical_across_queue_backends() {
-    for kind in QueueKind::ALL {
-        let (out, trace) = run_golden_cfg(
-            HardwareConfig::one_two_one_two(),
-            2000,
-            MetricsConfig::Off,
-            false,
-            kind,
-        );
-        assert_eq!(
-            out, GOLD_1212_OUT,
-            "backend {kind} perturbed 1/2/1/2 output: got {out:#018x}"
-        );
-        assert_eq!(
-            trace, GOLD_1212_TRACE,
-            "backend {kind} perturbed 1/2/1/2 trace: got {trace:#018x}"
-        );
-        let (out, trace) = run_golden_cfg(
-            HardwareConfig::one_four_one_four(),
-            2400,
-            MetricsConfig::Off,
-            false,
-            kind,
-        );
-        assert_eq!(
-            out, GOLD_1414_OUT,
-            "backend {kind} perturbed 1/4/1/4 output: got {out:#018x}"
-        );
-        assert_eq!(
-            trace, GOLD_1414_TRACE,
-            "backend {kind} perturbed 1/4/1/4 trace: got {trace:#018x}"
-        );
-    }
 }
 
 /// `--par-run N` is the other pure performance knob: the shard layout is

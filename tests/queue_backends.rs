@@ -1,117 +1,120 @@
-//! Workspace-level differential proof that the event-queue backends are
-//! interchangeable: the same simulation driven through the binary heap and
-//! the calendar queue must produce identical event delivery — and therefore
-//! identical outputs — through the *public* API, end to end.
+//! Workspace-level proof that the event queue delivers in strict
+//! `(time, insertion-seq)` order through the *public* API, end to end.
 //!
 //! The unit-level half of this proof lives in `simcore::queue` (randomized
-//! backend-vs-backend pop parity). This file adds the layers above it:
-//! a chaotic model that schedules ties, bursts, and far-future events from
-//! inside event handlers, and a full faulted n-tier run compared across
-//! backends field for field.
+//! calendar-vs-heap pop parity). This file adds the layer above it: a
+//! chaotic model that schedules ties, bursts, and far-future events from
+//! inside event handlers, driven through the engine and compared against a
+//! plain binary-heap reference loop.
 
-use rubbos_ntier::prelude::*;
 use rubbos_ntier::simcore::testkit::{check, Gen};
 use rubbos_ntier::simcore::{Engine, EventQueue, Model, SimTime};
-use rubbos_ntier::workload::WorkloadConfig;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A model that reschedules pseudo-randomly (but deterministically) from
 /// inside its handler: same-instant ties, near events, far-future jumps,
-/// and quiet stretches — the access pattern that distinguishes backends if
-/// anything does.
+/// and quiet stretches — the access pattern that exposes an out-of-order
+/// queue if anything does.
 struct Chaos {
     log: Vec<(u64, u32)>,
     budget: u32,
+}
+
+impl Chaos {
+    /// Log `event` at `now` (µs) and return the children it schedules, as
+    /// `(delay µs, id)` pairs in scheduling order.
+    fn fire(&mut self, now: u64, event: u32) -> Vec<(u64, u32)> {
+        self.log.push((now, event));
+        if self.budget == 0 {
+            return Vec::new();
+        }
+        // Deterministic fan-out derived from the event id and position.
+        let h = (event as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(self.log.len() as u64);
+        let fan = (h % 3) as u32;
+        let mut children = Vec::new();
+        for i in 0..fan {
+            self.budget = self.budget.saturating_sub(1);
+            let child = event.wrapping_mul(31).wrapping_add(i + 1);
+            let delay = match (h >> (8 + i)) % 4 {
+                0 => 0,
+                1 => h % 5_000,
+                2 => 10_000_000 + h % 100_000,
+                _ => 1 + h % 50,
+            };
+            children.push((delay, child));
+        }
+        children
+    }
 }
 
 impl Model for Chaos {
     type Event = u32;
 
     fn handle(&mut self, now: SimTime, event: u32, q: &mut EventQueue<u32>) {
-        self.log.push((now.as_micros(), event));
-        if self.budget == 0 {
-            return;
-        }
-        // Deterministic fan-out derived from the event id and position:
-        // identical across backends by construction.
-        let h = (event as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(self.log.len() as u64);
-        let fan = (h % 3) as u32;
-        for i in 0..fan {
-            self.budget = self.budget.saturating_sub(1);
-            let child = event.wrapping_mul(31).wrapping_add(i + 1);
-            match (h >> (8 + i)) % 4 {
-                0 => q.schedule_now(child),
-                1 => q.schedule_after(SimTime::from_micros(h % 5_000), child),
-                2 => q.schedule_after(SimTime::from_micros(10_000_000 + h % 100_000), child),
-                _ => q.schedule_after(SimTime::from_micros(1 + h % 50), child),
-            }
+        for (delay, child) in self.fire(now.as_micros(), event) {
+            q.schedule_after(SimTime::from_micros(delay), child);
         }
     }
 }
 
-/// Drive the identical chaotic schedule through both backends (with and
-/// without the staged-arrivals lane for the seeds) and require the exact
-/// same delivery log.
+/// The delivery log a correct queue must produce: the same model driven by
+/// a binary heap over `(at, seq, id)`.
+fn reference_log(seeds: &[(u64, u32)], budget: u32) -> Vec<(u64, u32)> {
+    let mut model = Chaos {
+        log: Vec::new(),
+        budget,
+    };
+    let mut heap = BinaryHeap::new();
+    let mut seq = 0u64;
+    for &(at, id) in seeds {
+        heap.push(Reverse((at, seq, id)));
+        seq += 1;
+    }
+    while let Some(Reverse((now, _, event))) = heap.pop() {
+        for (delay, child) in model.fire(now, event) {
+            heap.push(Reverse((now + delay, seq, child)));
+            seq += 1;
+        }
+    }
+    model.log
+}
+
+/// Drive the chaotic schedule through the engine (with and without the
+/// staged-arrivals lane for the seeds) and require the reference loop's
+/// exact delivery log.
 #[test]
-fn chaotic_schedules_deliver_identically_across_backends() {
+fn chaotic_schedules_match_the_reference_order() {
     check(25, |g: &mut Gen| {
         let seeds: Vec<(u64, u32)> = (0..g.usize_in(1, 40))
             .map(|i| (g.u64_in(0, 1_000_000), i as u32))
             .collect();
         let budget = g.usize_in(50, 2_000) as u32;
-        let mut logs: Vec<Vec<(u64, u32)>> = Vec::new();
-        for kind in QueueKind::ALL {
-            for stage in [false, true] {
-                let mut e = Engine::with_queue(
-                    Chaos {
-                        log: Vec::new(),
-                        budget,
-                    },
-                    kind,
-                    16,
-                );
-                for &(at, id) in &seeds {
-                    if stage {
-                        e.queue_mut().stage(SimTime::from_micros(at), id);
-                    } else {
-                        e.schedule(SimTime::from_micros(at), id);
-                    }
+        let expected = reference_log(&seeds, budget);
+        for stage in [false, true] {
+            let mut e = Engine::with_capacity(
+                Chaos {
+                    log: Vec::new(),
+                    budget,
+                },
+                16,
+            );
+            for &(at, id) in &seeds {
+                if stage {
+                    e.queue_mut().stage(SimTime::from_micros(at), id);
+                } else {
+                    e.schedule(SimTime::from_micros(at), id);
                 }
-                e.run_until(SimTime::MAX);
-                logs.push(e.into_model().log);
             }
-        }
-        for other in &logs[1..] {
-            assert_eq!(&logs[0], other, "backends diverged on seed {:#x}", g.seed());
+            e.run_until(SimTime::MAX);
+            assert_eq!(
+                e.into_model().log,
+                expected,
+                "delivery diverged from the reference (staged: {stage}, seed {:#x})",
+                g.seed()
+            );
         }
     });
-}
-
-/// A faulted, retrying, shedding 4-tier run — the messiest public entry
-/// point — must produce the identical report under either backend. Debug
-/// formatting round-trips every float exactly, so equal strings mean equal
-/// bits everywhere it matters.
-#[test]
-fn faulted_ntier_run_is_bit_identical_across_backends() {
-    let render = |queue: QueueKind| {
-        let hw = HardwareConfig::one_two_one_two();
-        let soft = SoftAllocation::rule_of_thumb();
-        let mut topo = Topology::paper(hw, soft);
-        topo.tiers[3].fault = FaultSpec::none().with_crash(
-            0,
-            SimTime::from_secs_f64(15.0),
-            Some(SimTime::from_secs_f64(22.0)),
-        );
-        let mut cfg = SystemConfig::new(hw, soft, 500).with_topology(topo);
-        cfg.workload = WorkloadConfig::quick(500);
-        cfg.retry = RetryPolicy::naive(3);
-        cfg.queue = queue;
-        let (out, report) = run_system_to_drain(cfg);
-        (format!("{out:?}"), format!("{report:?}"))
-    };
-    let heap = render(QueueKind::Heap);
-    let calendar = render(QueueKind::Calendar);
-    assert_eq!(heap.0, calendar.0, "RunOutput diverged across backends");
-    assert_eq!(heap.1, calendar.1, "DrainReport diverged across backends");
 }

@@ -1,12 +1,11 @@
 //! The paper's response-time distribution bins (Fig. 3(c)).
 
-use simcore::stats::Histogram;
-
 /// Fixed-bin response-time distribution:
 /// `[0,.2] [.2,.4] [.4,.6] [.6,.8] [.8,1] [1,1.5] [1.5,2] >2` (seconds).
+/// Bins are left-closed: an observation on an edge counts in the bin above it.
 #[derive(Debug, Clone)]
 pub struct RtDistribution {
-    hist: Histogram,
+    counts: [u64; 8],
 }
 
 /// Human-readable labels for the eight paper bins.
@@ -14,44 +13,36 @@ pub const BIN_LABELS: [&str; 8] = [
     "[0,.2]", "[.2,.4]", "[.4,.6]", "[.6,.8]", "[.8,1]", "[1,1.5]", "[1.5,2]", ">2",
 ];
 
+/// Lower edges of the eight bins, in seconds.
+const LOWER_EDGES: [f64; 8] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0];
+
 impl RtDistribution {
     /// New empty distribution with the paper's bins.
     pub fn new() -> Self {
-        RtDistribution {
-            hist: Histogram::with_edges(&[0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0]),
-        }
+        RtDistribution { counts: [0; 8] }
     }
 
-    /// Record a response time in seconds.
+    /// Record a response time in seconds (negative values count as 0).
     pub fn record(&mut self, rt_secs: f64) {
-        self.hist.add(rt_secs.max(0.0));
+        let rt = rt_secs.max(0.0);
+        let bin = LOWER_EDGES.partition_point(|&edge| edge <= rt) - 1;
+        self.counts[bin] += 1;
     }
 
     /// Counts for the eight bins (the last one is the `>2` overflow).
     pub fn counts(&self) -> [u64; 8] {
-        let c = self.hist.counts();
-        [
-            c[0],
-            c[1],
-            c[2],
-            c[3],
-            c[4],
-            c[5],
-            c[6],
-            self.hist.overflow(),
-        ]
+        self.counts
     }
 
     /// Fractions of all recorded requests per bin.
     pub fn fractions(&self) -> [f64; 8] {
         let total = self.total().max(1) as f64;
-        let c = self.counts();
-        std::array::from_fn(|i| c[i] as f64 / total)
+        std::array::from_fn(|i| self.counts[i] as f64 / total)
     }
 
     /// Total recorded requests.
     pub fn total(&self) -> u64 {
-        self.hist.total()
+        self.counts.iter().sum()
     }
 }
 
@@ -73,6 +64,15 @@ mod tests {
         }
         assert_eq!(d.counts(), [1, 1, 1, 1, 1, 1, 1, 1]);
         assert_eq!(d.total(), 8);
+    }
+
+    #[test]
+    fn edges_count_in_the_bin_above() {
+        let mut d = RtDistribution::new();
+        for rt in [0.0, 0.2, 1.0, 1.5, 2.0, f64::INFINITY] {
+            d.record(rt);
+        }
+        assert_eq!(d.counts(), [1, 1, 0, 0, 0, 1, 1, 2]);
     }
 
     #[test]

@@ -6,34 +6,34 @@
 //!
 //! * [`SimTime`] — simulated time as integer microseconds (cheap, total-ordered,
 //!   no floating-point drift in the event queue).
-//! * [`Engine`] / [`EventQueue`] / [`Model`] — a classic event-list simulator:
-//!   the model is a plain `&mut` state machine, events are a user-defined enum,
-//!   and the engine pops events in `(time, insertion-order)` order. No `Rc`,
-//!   no `RefCell`, no dynamic dispatch on the hot path. The future-event list
-//!   is a calendar queue ([`queue`]), checked against a binary-heap oracle.
+//! * [`ShardedEngine`] / [`ShardModel`] / [`ShardIo`] — the event-list
+//!   simulator. Each shard of a model is a plain `&mut` state machine, events
+//!   are a user-defined enum, and every shard pops its events in `(time,
+//!   key)` order, where the key is the scheduling shard's insertion counter.
+//!   One shard is the serial simulator; more shards run in lookahead-bounded
+//!   barrier rounds ([`shard`]). No `Rc`, no `RefCell`, no dynamic dispatch
+//!   on the hot path. Each future-event list is a calendar queue (the
+//!   crate-private `queue` module), checked against a binary-heap oracle.
 //! * [`rng`] — deterministic, forkable random-number streams so that every
 //!   experiment is exactly reproducible and parallel parameter sweeps are
 //!   independent of scheduling order.
-//! * [`stats`] — streaming statistics: Welford accumulators, fixed and
-//!   logarithmic histograms with quantiles, time-weighted integrals (for
-//!   utilization), and per-interval series (the "SysStat at one second
-//!   granularity" of the paper).
+//! * [`stats`] — streaming statistics: Welford accumulators, a logarithmic
+//!   histogram with quantiles, time-weighted integrals (for utilization),
+//!   and per-interval series (the "SysStat at one second granularity" of
+//!   the paper).
 //!
 //! The engine is deliberately minimal: all domain behaviour (CPUs, pools,
 //! servers, clients) lives in the crates layered on top.
 
-pub mod engine;
 pub mod profile;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod testkit;
 pub mod time;
 
-pub use engine::{Engine, EngineStats, Model, StepResult};
-pub use profile::{peak_rss_bytes, EngineProfile, ShardLoad};
-pub use queue::{EventQueue, Scheduled};
+pub use profile::{peak_rss_bytes, EngineProfile, EngineStats, ShardLoad};
 pub use rng::RunRng;
 pub use shard::{shard_key, ShardIo, ShardModel, ShardedEngine, SHARD_KEY_BITS};
 pub use time::SimTime;

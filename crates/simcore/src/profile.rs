@@ -10,15 +10,46 @@
 //! collects, and a process-level peak-RSS reading.
 //!
 //! Everything is off by default
-//! ([`Engine::enable_profiling`](crate::Engine::enable_profiling) opts in), so
-//! the hot path of an unprofiled run pays one untaken branch per event.
+//! ([`ShardedEngine::enable_profiling`](crate::ShardedEngine::enable_profiling)
+//! opts in), so the hot path of an unprofiled run pays one untaken branch per
+//! event.
 
-use crate::engine::EngineStats;
+/// Telemetry snapshot of an engine run (see
+/// [`ShardedEngine::stats`](crate::ShardedEngine::stats)).
+#[derive(Debug, Clone, Default)]
+pub struct EngineStats {
+    /// Total events processed.
+    pub events_processed: u64,
+    /// Peak number of pending events (staged arrivals included).
+    pub queue_high_water: usize,
+    /// Allocated capacity of the pending-event lists at snapshot time.
+    /// Compare with `queue_high_water` to pre-size future runs of the same
+    /// topology through the `capacity` argument of
+    /// [`ShardedEngine::new`](crate::ShardedEngine::new).
+    pub queue_capacity: usize,
+    /// Wall-clock seconds spent inside `run_until`/`run_to_quiescence`.
+    pub wall_secs: f64,
+    /// Per-event-type counts (only populated with telemetry enabled; the
+    /// labels come from
+    /// [`ShardModel::event_label`](crate::ShardModel::event_label)).
+    pub per_type: Vec<(&'static str, u64)>,
+}
+
+impl EngineStats {
+    /// Events processed per wall-clock second (0 when nothing was timed).
+    pub fn events_per_sec(&self) -> f64 {
+        if self.wall_secs > 0.0 {
+            self.events_processed as f64 / self.wall_secs
+        } else {
+            0.0
+        }
+    }
+}
 
 /// Phase-timing and counter profile of one engine run.
 ///
-/// Captured with [`Engine::profile`](crate::Engine::profile) after a run
-/// with profiling enabled. Phase seconds (`pop_secs`, `dispatch_secs`,
+/// Captured with [`ShardedEngine::profile`](crate::ShardedEngine::profile)
+/// after a run with profiling enabled. Phase seconds (`pop_secs`, `dispatch_secs`,
 /// `sched_secs`) are whole-run *estimates*: the engine times a
 /// deterministic 1-in-64 sample of event cycles (clock reads on every
 /// cycle would dominate the loop) and scales the sampled sums by the
@@ -33,32 +64,32 @@ pub struct EngineProfile {
     pub events_scheduled: u64,
     /// Wall-clock seconds spent popping the queue and advancing the clock.
     pub pop_secs: f64,
-    /// Wall-clock seconds spent inside `Model::handle` (this *includes* the
-    /// time the model spends scheduling follow-up events — `sched_secs` is
-    /// the measured sub-phase).
+    /// Wall-clock seconds spent inside `ShardModel::handle` (this
+    /// *includes* the time the model spends scheduling follow-up events —
+    /// `sched_secs` is the measured sub-phase).
     pub dispatch_secs: f64,
     /// Wall-clock seconds spent pushing events onto the queue.
     pub sched_secs: f64,
     /// Wall-clock seconds spent inside `run_until`/`run_to_quiescence`.
     pub wall_secs: f64,
-    /// Peak number of pending events, whatever the queue backend (staged
-    /// arrivals included).
+    /// Peak number of pending events (staged arrivals included).
     pub queue_high_water: usize,
-    /// Allocated capacity of the pending-event backend at snapshot time.
+    /// Allocated capacity of the pending-event lists at snapshot time.
     pub queue_capacity: usize,
     /// Per-event-kind counts, in first-seen order (labels from
-    /// [`Model::event_label`](crate::Model::event_label)).
+    /// [`ShardModel::event_label`](crate::ShardModel::event_label)).
     pub per_type: Vec<(&'static str, u64)>,
     /// Process peak resident set size in bytes (`VmHWM` from
     /// `/proc/self/status` on Linux; `None` where no probe exists). Note the
     /// kernel counter is a high-water mark for the whole process, so in a
     /// multi-run process it is cumulative across runs.
     pub peak_rss_bytes: Option<u64>,
-    /// Barrier rounds executed by a sharded run (0 for the serial engine).
+    /// Barrier rounds executed (a one-shard run is one round per
+    /// `run_*` call).
     pub rounds: u64,
-    /// Per-shard load attribution of a sharded run (empty for the serial
-    /// engine): events, wall-clock busy seconds inside rounds, and
-    /// wall-clock seconds stalled at round barriers.
+    /// Per-shard load attribution (empty only in a hand-built profile):
+    /// events, wall-clock busy seconds inside rounds, and wall-clock seconds
+    /// stalled at round barriers.
     pub shards: Vec<ShardLoad>,
 }
 

@@ -1,12 +1,13 @@
 //! The future-event list (a calendar queue) and the staged-arrivals lane.
 //!
-//! The engine's pending-event set is a strict total order on `(time,
-//! insertion-seq)`: earlier times first, FIFO among events scheduled for the
-//! same instant. One data structure maintains that order in production:
-//! `CalendarBackend`, a calendar queue (Brown 1988). Events hash into time
-//! buckets ("days") of width `2^shift` µs; pops scan forward from the current
-//! day. Push and pop are amortized `O(1)` when the bucket width tracks the
-//! event-time spread, which the backend re-tunes on resize.
+//! Each shard's pending-event set is a strict total order on `(time, key)`:
+//! earlier times first, then ascending key. Keys come from the scheduling
+//! shard's monotone counter, so events one shard schedules for the same
+//! instant are delivered FIFO. One data structure maintains that order in
+//! production: `CalendarBackend`, a calendar queue (Brown 1988). Events hash
+//! into time buckets ("days") of width `2^shift` µs; pops scan forward from
+//! the current day. Push and pop are amortized `O(1)` when the bucket width
+//! tracks the event-time spread, which the backend re-tunes on resize.
 //!
 //! A binary heap pops the same order; the calendar is used because it
 //! measured faster at every point of the perf suite (`DESIGN.md` §12). The
@@ -17,14 +18,14 @@
 //!
 //! Closed-loop runs seed one arrival event per session before the run starts
 //! — at 1M users that is a million heap pushes (and a million live heap
-//! slots) before the first event fires. [`EventQueue::stage`] instead
-//! appends pre-run events to a plain vector with their insertion seq
-//! reserved as usual; the vector is sorted once by `(time, seq)` on the
-//! first pop and merged lazily with the backend at pop time (pop = min of
-//! the two fronts). Because the merge respects the same total order and the
-//! seqs are the ones the events would have had anyway, the pop sequence —
-//! and therefore every digest — is bit-identical to pushing everything up
-//! front, while the backend only ever holds the steady-state working set.
+//! slots) before the first event fires. `EventQueue::stage` instead appends
+//! pre-run events, with the keys they would have been pushed under, to a
+//! plain vector; the vector is sorted once by `(time, key)` on the first pop
+//! and merged lazily with the backend at pop time (pop = min of the two
+//! fronts). Because the merge respects the same total order, the pop
+//! sequence — and therefore every digest — is bit-identical to pushing
+//! everything up front, while the backend only ever holds the steady-state
+//! working set.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -32,22 +33,23 @@ use std::collections::VecDeque;
 
 /// One pending event: the payload plus its total-order key `(at, seq)`.
 ///
-/// `seq` is the queue-wide insertion sequence; it breaks same-time ties so
-/// delivery at one instant is FIFO in scheduling order.
+/// `seq` is the caller-assigned tie-break key (a shard-tagged counter, see
+/// [`shard_key`](crate::shard_key)); it makes delivery at one instant FIFO
+/// in scheduling order.
 #[derive(Debug)]
-pub struct Scheduled<E> {
+pub(crate) struct Scheduled<E> {
     /// Absolute delivery time.
-    pub at: SimTime,
-    /// Queue-wide insertion sequence (same-time tie-break).
-    pub seq: u64,
+    pub(crate) at: SimTime,
+    /// Same-time tie-break key.
+    pub(crate) seq: u64,
     /// The event payload.
-    pub event: E,
+    pub(crate) event: E,
 }
 
 impl<E> Scheduled<E> {
     /// The total-order key.
     #[inline]
-    pub fn key(&self) -> (SimTime, u64) {
+    pub(crate) fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
 }
@@ -290,7 +292,7 @@ impl<E> CalendarBackend<E> {
 /// stays bit-identical and repeatable.
 pub(crate) const PROFILE_SAMPLE_MASK: u64 = 63;
 
-/// Outcome of one [`EventQueue::pop_at_most`] attempt.
+/// Outcome of one `EventQueue::pop_at_most` attempt.
 pub(crate) enum PopNext<E> {
     /// Nothing pending anywhere (backend and staged lane both empty).
     Empty,
@@ -300,11 +302,14 @@ pub(crate) enum PopNext<E> {
     Event(Scheduled<E>),
 }
 
-/// The pending-event set, exposed to models for scheduling.
+/// One shard's pending-event set.
 ///
 /// Internally a calendar queue plus the staged-arrivals lane (see module
-/// docs); externally one strict `(time, insertion-seq)` total order.
-pub struct EventQueue<E> {
+/// docs); externally one strict `(time, key)` total order. Keys are assigned
+/// by the caller (see [`shard_key`](crate::shard_key)): each shard draws
+/// them from its own monotone counter, so events arriving from several
+/// shards merge in an order that is independent of thread scheduling.
+pub(crate) struct EventQueue<E> {
     backend: CalendarBackend<E>,
     /// Pre-run staged events; sorted *descending* by key on first pop so the
     /// current front is `last()` and consuming it is a by-value `pop()`.
@@ -313,7 +318,6 @@ pub struct EventQueue<E> {
     /// Set on the first pop; staging afterwards is a contract violation.
     started: bool,
     now: SimTime,
-    seq: u64,
     high_water: usize,
     timed: bool,
     sched_secs: f64,
@@ -330,7 +334,6 @@ impl<E> EventQueue<E> {
             staged_sorted: true,
             started: false,
             now: SimTime::ZERO,
-            seq: 0,
             high_water: 0,
             timed: false,
             sched_secs: 0.0,
@@ -338,83 +341,28 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Push onto the backend, maintaining the insertion sequence and
-    /// high-water mark. Timing (when profiling is on) wraps exactly this
-    /// operation on a deterministic 1-in-64 sample of pushes, so
-    /// `sched_secs` holds sampled push seconds (the engine's `profile()`
-    /// scales them to an estimate).
-    #[inline]
-    fn push_at(&mut self, at: SimTime, event: E) {
-        let item = Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        };
-        if self.timed && self.seq & PROFILE_SAMPLE_MASK == 0 {
-            let t0 = std::time::Instant::now();
-            self.backend.push(item);
-            self.sched_secs += t0.elapsed().as_secs_f64();
-            self.timed_pushes += 1;
-        } else {
-            self.backend.push(item);
-        }
-        self.seq += 1;
-        self.high_water = self.high_water.max(self.len());
-    }
-
     /// Current allocated capacity of the pending-event backend.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.backend.capacity()
     }
 
     /// Current simulated time.
     #[inline]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Push `event` at `at` under the tie-break key `key`.
+    ///
+    /// Timing (when profiling is on) wraps exactly the backend push on a
+    /// deterministic 1-in-64 sample of keys, so `sched_secs` holds sampled
+    /// push seconds (the engine's `profile()` scales them to an estimate).
     ///
     /// # Panics
     /// If `at` is before the current time.
     #[inline]
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at} now={}",
-            self.now
-        );
-        self.push_at(at, event);
-    }
-
-    /// Schedule `event` after a delay relative to now.
-    #[inline]
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.push_at(self.now + delay, event);
-    }
-
-    /// Schedule `event` to run at the current instant, after all events already
-    /// queued for this instant (a "call me back immediately" idiom).
-    #[inline]
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_after(SimTime::ZERO, event);
-    }
-
-    /// Push `event` at `at` under an externally assigned sequence key.
-    ///
-    /// This is the sharded engine's entry point: each shard owns a key
-    /// counter (tagged with its shard id in the high bits) so that events
-    /// arriving from several shards merge in one strict `(time, key)` total
-    /// order that is independent of thread scheduling. The queue's own
-    /// insertion counter is left untouched; a queue must be driven either
-    /// entirely through [`schedule`](Self::schedule) or entirely through the
-    /// keyed API — mixing the two would interleave two key spaces.
-    ///
-    /// # Panics
-    /// If `at` is before the current time.
-    #[inline]
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
+    pub(crate) fn push(&mut self, at: SimTime, key: u64, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
@@ -436,16 +384,19 @@ impl<E> EventQueue<E> {
         self.high_water = self.high_water.max(self.len());
     }
 
-    /// Stage a pre-run event under an externally assigned key (the keyed
-    /// analogue of [`stage`](Self::stage); see [`push_keyed`](Self::push_keyed)
-    /// for the key contract).
+    /// Stage a pre-run event into the arrivals lane (see module docs).
+    ///
+    /// The event pops exactly where a [`push`](Self::push) under the same
+    /// key would have put it, but the backend never holds it. Intended for
+    /// bulk arrival seeding: at 1M sessions this keeps a million pre-run
+    /// events out of the backend entirely.
     ///
     /// # Panics
     /// If called after the first pop, or with `at` in the past.
-    pub fn stage_keyed(&mut self, at: SimTime, key: u64, event: E) {
+    pub(crate) fn stage(&mut self, at: SimTime, key: u64, event: E) {
         assert!(
             !self.started,
-            "stage_keyed() is for pre-run seeding; the run has already started"
+            "stage() is for pre-run seeding; the run has already started"
         );
         assert!(
             at >= self.now,
@@ -461,51 +412,15 @@ impl<E> EventQueue<E> {
         self.high_water = self.high_water.max(self.len());
     }
 
-    /// Stage a pre-run event into the arrivals lane (see module docs).
-    ///
-    /// The event gets the same insertion seq a [`schedule`](Self::schedule)
-    /// call would have assigned, so the merged pop order — and every digest —
-    /// is bit-identical to pushing it, but the backend never holds it.
-    /// Intended for bulk arrival seeding: at 1M sessions this keeps a
-    /// million pre-run events out of the backend entirely.
-    ///
-    /// # Panics
-    /// If called after the first pop, or with `at` in the past.
-    pub fn stage(&mut self, at: SimTime, event: E) {
-        assert!(
-            !self.started,
-            "stage() is for pre-run seeding; the run has already started"
-        );
-        assert!(
-            at >= self.now,
-            "cannot stage into the past: at={at} now={}",
-            self.now
-        );
-        self.staged.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-        self.staged_sorted = false;
-        self.high_water = self.high_water.max(self.len());
-    }
-
     /// Number of pending events (backend + staged lane).
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.backend.len() + self.staged.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Timestamp of the next pending event, if any.
     #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         let staged_key = if self.staged_sorted {
             self.staged.last().map(Scheduled::key)
         } else {
@@ -520,14 +435,8 @@ impl<E> EventQueue<E> {
 
     /// Largest number of events ever pending at once.
     #[inline]
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Total events ever pushed onto this queue (the insertion sequence).
-    #[inline]
-    pub fn scheduled(&self) -> u64 {
-        self.seq
     }
 
     /// Pop the globally minimum pending event if it is at or before
@@ -771,13 +680,14 @@ mod tests {
     }
 
     /// The staged lane is indistinguishable from upfront pushes: same pop
-    /// sequence, same seqs, same counters — with follow-up events scheduled
-    /// mid-run to interleave with still-staged arrivals.
+    /// sequence, same keys, same high-water mark — with follow-up events
+    /// pushed mid-run to interleave with still-staged arrivals.
     #[test]
     fn staged_lane_matches_upfront_pushes_exactly() {
         check(100, |g: &mut Gen| {
             let mut staged = EventQueue::with_capacity(8);
             let mut pushed = EventQueue::with_capacity(8);
+            let mut key = 0u64;
             let n = g.usize_in(1, 60);
             let arrivals: Vec<u64> = (0..n)
                 .map(|_| {
@@ -789,8 +699,9 @@ mod tests {
                 })
                 .collect();
             for &at in &arrivals {
-                staged.stage(SimTime::from_micros(at), at);
-                pushed.schedule(SimTime::from_micros(at), at);
+                staged.stage(SimTime::from_micros(at), key, at);
+                pushed.push(SimTime::from_micros(at), key, at);
+                key += 1;
             }
             let mut chain = g.usize_in(0, 20);
             loop {
@@ -807,14 +718,14 @@ mod tests {
                 // Mid-run follow-ups land among still-staged arrivals.
                 if chain > 0 {
                     chain -= 1;
-                    let delta = SimTime::from_micros(g.u64_in(0, 3_000));
-                    staged.schedule_after(delta, at.as_micros() + 1);
-                    pushed.schedule_after(delta, at.as_micros() + 1);
+                    let next = at + SimTime::from_micros(g.u64_in(0, 3_000));
+                    staged.push(next, key, at.as_micros() + 1);
+                    pushed.push(next, key, at.as_micros() + 1);
+                    key += 1;
                 }
             }
-            assert_eq!(staged.scheduled(), pushed.scheduled());
             assert_eq!(staged.high_water(), pushed.high_water());
-            assert!(staged.is_empty() && pushed.is_empty());
+            assert_eq!((staged.len(), pushed.len()), (0, 0));
         });
     }
 
@@ -822,17 +733,18 @@ mod tests {
     #[should_panic(expected = "run has already started")]
     fn staging_after_the_first_pop_panics() {
         let mut q = EventQueue::with_capacity(4);
-        q.schedule(SimTime::from_micros(1), 1u64);
+        q.push(SimTime::from_micros(1), 0, 1u64);
         let _ = q.pop_at_most(SimTime::MAX);
-        q.stage(SimTime::from_micros(2), 2u64);
+        q.stage(SimTime::from_micros(2), 1, 2u64);
     }
 
     #[test]
     fn peek_time_sees_staged_and_backend_events() {
         let mut q = EventQueue::with_capacity(4);
         assert_eq!(q.peek_time(), None);
-        q.schedule(SimTime::from_micros(9), 0u64);
-        q.stage(SimTime::from_micros(4), 1u64);
+        assert_eq!(q.len(), 0);
+        q.push(SimTime::from_micros(9), 0, 0u64);
+        q.stage(SimTime::from_micros(4), 1, 1u64);
         // Staged lane not yet sorted; peek must still find the true minimum.
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(4)));
         assert_eq!(q.len(), 2);

@@ -1,11 +1,12 @@
-//! Conservative parallel execution of **one** simulation across event shards.
+//! The event loop: execution of **one** simulation across event shards.
 //!
-//! The classic engine ([`crate::Engine`]) pops a single future-event list in
-//! strict `(time, seq)` order. This module runs N lists — one per *shard* of
-//! the model — in **barrier rounds** bounded by the minimum cross-shard
-//! *lookahead* `L`: if every event a shard sends to another shard arrives at
-//! least `L` after the sending event's timestamp, then all events strictly
-//! below `min_next_event + L` are causally independent across shards and may
+//! A one-shard layout is a serial event-list simulator: it pops a single
+//! future-event list in strict `(time, key)` order. With more shards the
+//! engine runs N lists — one per *shard* of the model — in **barrier
+//! rounds** bounded by the minimum cross-shard *lookahead* `L`: if every
+//! event a shard sends to another shard arrives at least `L` after the
+//! sending event's timestamp, then all events strictly below
+//! `min_next_event + L` are causally independent across shards and may
 //! execute concurrently. This is textbook conservative DES (Chandy–Misra
 //! style synchronization, specialized to a global barrier because tier-chain
 //! topologies have only a handful of shards).
@@ -20,8 +21,8 @@
 //!   monotone counter. A destination queue orders its events by
 //!   `(time, key)`, so the merge order of events from several shards is a
 //!   pure function of the simulation, never of thread interleaving. A
-//!   single-shard layout degenerates to `key == counter`, i.e. exactly the
-//!   serial engine's insertion sequence.
+//!   single-shard layout degenerates to `key == counter`, i.e. plain
+//!   insertion order.
 //! * **Seq-reserving mailboxes.** Cross-shard sends are buffered per
 //!   `(source, destination)` pair during a round and drained after the
 //!   barrier in source-shard order. Since each message already carries its
@@ -41,8 +42,7 @@
 //! shard ingests every pending observation stamped `≤ T − L`. Anything still
 //! pending when the run stops is delivered by
 //! [`ShardedEngine::finish_observations`].
-use crate::engine::EngineStats;
-use crate::profile::{peak_rss_bytes, EngineProfile, ShardLoad};
+use crate::profile::{peak_rss_bytes, EngineProfile, EngineStats, ShardLoad};
 use crate::queue::{EventQueue, PopNext, PROFILE_SAMPLE_MASK};
 
 /// Round-timing sample mask for the *serial* round loop: busy clocks are
@@ -76,13 +76,14 @@ pub fn shard_key(shard: usize, counter: u64) -> u64 {
     ((shard as u64) << SHARD_KEY_BITS) | counter
 }
 
-/// One shard of a sharded model: a state machine handling its own events and
-/// ingesting observations sent by other shards.
+/// One shard of a model: a plain mutable state machine handling its own
+/// events and ingesting observations sent by other shards.
 ///
-/// The contract mirrors [`crate::Model`], with two differences: handlers
-/// talk to a [`ShardIo`] (which routes local schedules and cross-shard
-/// sends), and a shard must tolerate observations arriving *later* than the
-/// events around them (they are delivered under the lookahead delay rule).
+/// `handle` receives one event and may schedule any number of future events
+/// through its [`ShardIo`], which routes local schedules and cross-shard
+/// sends. Scheduling in the past is a programming error and panics. A shard
+/// must tolerate observations arriving *later* than the events around them
+/// (they are delivered under the lookahead delay rule).
 pub trait ShardModel: Send {
     /// Event payload (shared by all shards of one model).
     type Event: Send;
@@ -101,8 +102,8 @@ pub trait ShardModel: Send {
     /// order, before any event at `≥ at + L` dispatches on this shard).
     fn ingest(&mut self, at: SimTime, obs: Self::Obs);
 
-    /// Short static label per event kind (telemetry; mirror of
-    /// [`crate::Model::event_label`]).
+    /// Short static label per event kind, used by engine telemetry to build
+    /// per-event-kind counts.
     fn event_label(event: &Self::Event) -> &'static str;
 }
 
@@ -144,7 +145,7 @@ impl<E, O> ShardIo<'_, E, O> {
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let key = self.next_key();
-        self.queue.push_keyed(at, key, event);
+        self.queue.push(at, key, event);
     }
 
     /// Schedule on this shard after a delay relative to now.
@@ -355,8 +356,8 @@ impl<M: ShardModel> ShardedEngine<M> {
         self.shards.iter().map(|s| s.events_processed).sum()
     }
 
-    /// Turn on per-event-kind counting (the sharded mirror of
-    /// [`crate::Engine::enable_telemetry`]).
+    /// Turn on per-event-kind counting (one label lookup and a linear-scan
+    /// bump per event; off by default so untraced runs pay nothing).
     pub fn enable_telemetry(&mut self) {
         self.telemetry = true;
     }
@@ -393,7 +394,7 @@ impl<M: ShardModel> ShardedEngine<M> {
         let s = &mut self.shards[shard];
         let key = shard_key(shard, s.counter);
         s.counter += 1;
-        s.queue.push_keyed(at, key, event);
+        s.queue.push(at, key, event);
     }
 
     /// Stage a pre-run seed event on shard `shard` through the queue's
@@ -403,7 +404,7 @@ impl<M: ShardModel> ShardedEngine<M> {
         let s = &mut self.shards[shard];
         let key = shard_key(shard, s.counter);
         s.counter += 1;
-        s.queue.stage_keyed(at, key, event);
+        s.queue.stage(at, key, event);
     }
 
     /// Run until simulated time `until` (inclusive), then advance every
@@ -419,8 +420,8 @@ impl<M: ShardModel> ShardedEngine<M> {
     /// Run until every shard's event list is empty.
     ///
     /// # Panics
-    /// If more than `max_events` are processed (runaway guard, mirroring
-    /// [`crate::Engine::run_to_quiescence`]).
+    /// If more than `max_events` are processed (runaway guard). The guard
+    /// trips on the first event past the budget, even inside one round.
     pub fn run_to_quiescence(&mut self, max_events: u64) {
         self.run(SimTime::MAX, Some(max_events));
     }
@@ -475,7 +476,7 @@ impl<M: ShardModel> ShardedEngine<M> {
     }
 
     /// Merged phase profile: sampled phase seconds are scaled per shard
-    /// (exactly as the serial engine scales its own sample) and then summed,
+    /// (by the fraction of that shard's cycles sampled) and then summed,
     /// so `pop+dispatch` seconds can legitimately exceed wall seconds once
     /// shards actually overlap. Per-shard busy/stall attribution rides in
     /// [`EngineProfile::shards`].
@@ -550,6 +551,7 @@ impl<M: ShardModel> ShardedEngine<M> {
         let telemetry = self.telemetry;
         let profiling = self.profiling;
         let start_events = self.events_processed();
+        let mut allowance = event_allowance(budget);
         loop {
             let m = self.global_min();
             if m == SimTime::MAX || (budget.is_none() && m > until) {
@@ -563,7 +565,9 @@ impl<M: ShardModel> ShardedEngine<M> {
             for i in 0..n {
                 let s = &mut self.shards[i];
                 let t0 = sample.then(std::time::Instant::now);
-                run_shard_round(s, i, horizon, floor, lookahead, telemetry, profiling);
+                allowance -= run_shard_round(
+                    s, i, horizon, floor, lookahead, telemetry, profiling, allowance,
+                );
                 if let Some(t0) = t0 {
                     s.busy_secs += t0.elapsed().as_secs_f64() * ROUND_SAMPLE_SCALE;
                 }
@@ -578,7 +582,7 @@ impl<M: ShardModel> ShardedEngine<M> {
                     }
                     let (s_src, s_dst) = two_shards(&mut self.shards, src, dst);
                     for (at, key, ev) in s_src.outbox[dst].drain(..) {
-                        s_dst.queue.push_keyed(at, key, ev);
+                        s_dst.queue.push(at, key, ev);
                     }
                     for (at, key, obs) in s_src.obs_outbox[dst].drain(..) {
                         s_dst.obs_pending.push(Reverse(ObsEntry { at, key, obs }));
@@ -644,6 +648,9 @@ impl<M: ShardModel> ShardedEngine<M> {
                 let mut body = move || {
                     let base = j * chunk;
                     let mut round: u64 = 0;
+                    // This thread's events still allowed this round; reset
+                    // from the published total after every round.
+                    let mut allowance = event_allowance(budget);
                     loop {
                         // Phase 1: reduce the global minimum next-event time.
                         let local_min = own
@@ -688,9 +695,11 @@ impl<M: ShardModel> ShardedEngine<M> {
                         for (k, s) in own.iter_mut().enumerate() {
                             let src = base + k;
                             let t0 = profiling.then(std::time::Instant::now);
-                            processed += run_shard_round(
-                                s, src, horizon, floor, lookahead, telemetry, profiling,
+                            let done = run_shard_round(
+                                s, src, horizon, floor, lookahead, telemetry, profiling, allowance,
                             );
+                            processed += done;
+                            allowance -= done;
                             if let Some(t0) = t0 {
                                 s.busy_secs += t0.elapsed().as_secs_f64();
                             }
@@ -743,7 +752,7 @@ impl<M: ShardModel> ShardedEngine<M> {
                                 let mut mail =
                                     event_mail[dst * n + src].lock().expect("mailbox poisoned");
                                 for (at, key, ev) in mail.drain(..) {
-                                    s.queue.push_keyed(at, key, ev);
+                                    s.queue.push(at, key, ev);
                                 }
                                 drop(mail);
                                 let mut mail =
@@ -758,10 +767,9 @@ impl<M: ShardModel> ShardedEngine<M> {
                             // The total is published before barrier B, so
                             // after it every thread sees the same value and
                             // panics (or not) in unison.
-                            assert!(
-                                total_events.load(Ordering::Relaxed) <= max,
-                                "run_to_quiescence exceeded {max} events"
-                            );
+                            let total = total_events.load(Ordering::Relaxed);
+                            assert!(total <= max, "run_to_quiescence exceeded {max} events");
+                            allowance = (max - total).saturating_add(1);
                         }
                     }
                     // Every thread exits with the identical round count.
@@ -816,9 +824,22 @@ fn round_bounds(
     (horizon, floor)
 }
 
+/// Events a run may process before its runaway guard trips: one past the
+/// budget, so a runaway stops on the first event over it (`u64::MAX`, i.e.
+/// never, without a budget).
+fn event_allowance(budget: Option<u64>) -> u64 {
+    budget.map_or(u64::MAX, |max| max.saturating_add(1))
+}
+
 /// Process every event with `t ≤ horizon` on one shard, ingesting pending
-/// observations under the delay rule before each dispatch. Returns the
-/// number of events processed.
+/// observations under the delay rule before each dispatch, but stop after
+/// `limit` events. Returns the number of events processed.
+///
+/// `limit` is the run's remaining [`event_allowance`]: reaching it means the
+/// event budget is exceeded, which the caller turns into a panic once the
+/// round is over. Without the cap a one-shard round, whose horizon is the
+/// end of the run, would only check the budget after the whole run.
+#[allow(clippy::too_many_arguments)]
 fn run_shard_round<M: ShardModel>(
     s: &mut ShardState<M>,
     shard: usize,
@@ -827,9 +848,10 @@ fn run_shard_round<M: ShardModel>(
     lookahead: SimTime,
     telemetry: bool,
     profiling: bool,
+    limit: u64,
 ) -> u64 {
     let mut processed: u64 = 0;
-    loop {
+    while processed < limit {
         let sample = profiling && s.events_processed & PROFILE_SAMPLE_MASK == 0;
         let t0 = sample.then(std::time::Instant::now);
         let item = match s.queue.pop_at_most(horizon) {
@@ -877,14 +899,14 @@ fn run_shard_round<M: ShardModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Model};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const HOP: SimTime = SimTime(10);
 
     /// Toy workload on a ring of shards: every shard locally "works" each
     /// token twice, then passes it to the next shard after `HOP`; each
     /// handled event also emits an observation toward shard 0.
-    #[derive(Debug, Clone, PartialEq)]
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
     enum Tok {
         Work(u32),
         Pass(u32),
@@ -994,39 +1016,40 @@ mod tests {
 
     #[test]
     fn single_shard_matches_serial_engine_bit_for_bit() {
-        // The same ring logic on the classic engine, one queue.
-        struct Solo(RingShard);
-        impl Model for Solo {
-            type Event = Tok;
-            fn handle(&mut self, now: SimTime, ev: Tok, q: &mut EventQueue<Tok>) {
-                match ev {
-                    Tok::Work(x) => self.0.log.push((now.0, x)),
-                    Tok::Pass(x) => {
-                        self.0.log.push((now.0, 1000 + x));
-                        q.schedule(now + SimTime(1), Tok::Work(x));
-                        q.schedule(now + SimTime(2), Tok::Work(x + 1));
-                        if x < self.0.hops_left {
-                            q.schedule(now + HOP, Tok::Pass(x + 1));
-                        }
+        // Reference: the same ring logic on one queue, as a plain binary-heap
+        // event loop over (time, insertion seq, event).
+        let hops_left = 40;
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        for (at, tok) in [(5, Tok::Pass(0)), (7, Tok::Pass(20))] {
+            heap.push(Reverse((at, seq, tok)));
+            seq += 1;
+        }
+        let mut log = Vec::new();
+        while let Some(Reverse((now, _, tok))) = heap.pop() {
+            match tok {
+                Tok::Work(x) => log.push((now, x)),
+                Tok::Pass(x) => {
+                    log.push((now, 1000 + x));
+                    let mut next = vec![(now + 1, Tok::Work(x)), (now + 2, Tok::Work(x + 1))];
+                    if x < hops_left {
+                        next.push((now + HOP.0, Tok::Pass(x + 1)));
+                    }
+                    for (at, t) in next {
+                        heap.push(Reverse((at, seq, t)));
+                        seq += 1;
                     }
                 }
             }
-            fn event_label(_: &Tok) -> &'static str {
-                "tok"
-            }
         }
-        let mut serial = Engine::new(Solo(RingShard::new(1, 40)));
-        serial.schedule(SimTime(5), Tok::Pass(0));
-        serial.schedule(SimTime(7), Tok::Pass(20));
-        serial.run_to_quiescence(100_000);
 
-        let models = vec![RingShard::new(1, 40)];
+        let models = vec![RingShard::new(1, hops_left)];
         let mut sharded = ShardedEngine::new(models, SimTime::ZERO, 1, 16);
         sharded.schedule(0, SimTime(5), Tok::Pass(0));
         sharded.schedule(0, SimTime(7), Tok::Pass(20));
         sharded.run_to_quiescence(100_000);
-        assert_eq!(serial.events_processed(), sharded.events_processed());
-        assert_eq!(serial.model().0.log, sharded.model(0).log);
+        assert_eq!(sharded.events_processed(), log.len() as u64);
+        assert_eq!(sharded.model(0).log, log);
     }
 
     #[test]
@@ -1096,14 +1119,270 @@ mod tests {
     #[test]
     fn keyed_pushes_order_by_time_then_key() {
         let mut q: EventQueue<u32> = EventQueue::with_capacity(4);
-        q.push_keyed(SimTime(5), shard_key(1, 0), 10);
-        q.push_keyed(SimTime(5), shard_key(0, 7), 20);
-        q.push_keyed(SimTime(3), shard_key(2, 1), 30);
-        q.stage_keyed(SimTime(5), shard_key(0, 2), 40);
+        q.push(SimTime(5), shard_key(1, 0), 10);
+        q.push(SimTime(5), shard_key(0, 7), 20);
+        q.push(SimTime(3), shard_key(2, 1), 30);
+        q.stage(SimTime(5), shard_key(0, 2), 40);
         let mut order = Vec::new();
         while let PopNext::Event(e) = q.pop_at_most(SimTime::MAX) {
             order.push(e.event);
         }
         assert_eq!(order, vec![30, 40, 20, 10]);
+    }
+
+    /// One-shard toy model: logs `(time, id)` per event.
+    #[derive(Debug)]
+    enum Ev {
+        /// Logged as-is.
+        Tag(u32),
+        /// Logged as id 999; reschedules itself 10 µs later while
+        /// `chain_remaining` lasts.
+        Chain,
+        /// Schedules `Tag(id)` at the current instant.
+        Inject(u32),
+        /// Schedules a `Tag` one microsecond in the past.
+        Rewind,
+        /// Reschedules itself at the current instant, forever.
+        Spin,
+    }
+
+    struct Recorder {
+        seen: Vec<(u64, u32)>,
+        chain_remaining: u32,
+    }
+
+    impl ShardModel for Recorder {
+        type Event = Ev;
+        type Obs = ();
+
+        fn handle(&mut self, now: SimTime, ev: Ev, io: &mut ShardIo<'_, Ev, ()>) {
+            match ev {
+                Ev::Tag(id) => self.seen.push((now.0, id)),
+                Ev::Chain => {
+                    self.seen.push((now.0, 999));
+                    if self.chain_remaining > 0 {
+                        self.chain_remaining -= 1;
+                        io.schedule_after(SimTime(10), Ev::Chain);
+                    }
+                }
+                Ev::Inject(id) => io.schedule_now(Ev::Tag(id)),
+                Ev::Rewind => io.schedule(SimTime(now.0 - 1), Ev::Tag(0)),
+                Ev::Spin => io.schedule_now(Ev::Spin),
+            }
+        }
+
+        fn ingest(&mut self, _: SimTime, _: ()) {}
+
+        fn event_label(ev: &Ev) -> &'static str {
+            match ev {
+                Ev::Tag(_) => "tag",
+                Ev::Chain => "chain",
+                Ev::Inject(_) => "inject",
+                Ev::Rewind => "rewind",
+                Ev::Spin => "spin",
+            }
+        }
+    }
+
+    fn recorders(n: usize, threads: usize, capacity: usize) -> ShardedEngine<Recorder> {
+        let models = (0..n)
+            .map(|_| Recorder {
+                seen: Vec::new(),
+                chain_remaining: 0,
+            })
+            .collect();
+        let lookahead = if n == 1 { SimTime::ZERO } else { HOP };
+        ShardedEngine::new(models, lookahead, threads, capacity)
+    }
+
+    fn solo() -> ShardedEngine<Recorder> {
+        recorders(1, 1, 16)
+    }
+
+    #[test]
+    fn one_shard_pops_in_time_order_and_fifo_at_ties() {
+        let mut eng = solo();
+        for (at, id) in [(30, 3), (10, 1), (20, 2)] {
+            eng.schedule(0, SimTime(at), Ev::Tag(id));
+        }
+        for id in 100..200 {
+            eng.schedule(0, SimTime(5), Ev::Tag(id));
+        }
+        eng.run_until(SimTime::MAX);
+        let mut expected: Vec<(u64, u32)> = (100..200).map(|id| (5, id)).collect();
+        expected.extend([(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(eng.model(0).seen, expected);
+    }
+
+    #[test]
+    fn one_shard_horizon_stops_and_advances_clock() {
+        let mut eng = solo();
+        eng.schedule(0, SimTime(10), Ev::Tag(1));
+        eng.schedule(0, SimTime(100), Ev::Tag(2));
+        eng.run_until(SimTime(50));
+        assert_eq!(eng.model(0).seen, vec![(10, 1)]);
+        assert_eq!(eng.now(), SimTime(50));
+        // The future event is still pending and runs on the next call.
+        eng.run_until(SimTime::MAX);
+        assert_eq!(eng.model(0).seen, vec![(10, 1), (100, 2)]);
+    }
+
+    /// A handler-driven chain runs to completion under a budget it exactly
+    /// meets.
+    #[test]
+    fn one_shard_chains_from_inside_handle_within_budget() {
+        let mut eng = solo();
+        eng.model_mut(0).chain_remaining = 1000;
+        eng.schedule(0, SimTime::ZERO, Ev::Chain);
+        eng.run_to_quiescence(1001);
+        let seen = &eng.model(0).seen;
+        assert_eq!(seen.len(), 1001);
+        assert_eq!(seen.last(), Some(&(10_000, 999)));
+        assert_eq!(eng.events_processed(), 1001);
+    }
+
+    #[test]
+    fn schedule_now_runs_after_current_instant_events() {
+        let mut eng = solo();
+        eng.schedule(0, SimTime::ZERO, Ev::Tag(1));
+        eng.schedule(0, SimTime::ZERO, Ev::Inject(3));
+        eng.schedule(0, SimTime::ZERO, Ev::Tag(2));
+        eng.run_until(SimTime::MAX);
+        // The injected Tag(3) runs after Tag(2), which was already queued
+        // for the same instant.
+        let ids: Vec<u32> = eng.model(0).seen.iter().map(|&(_, id)| id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduling_in_the_past_panics() {
+        let mut eng = solo();
+        eng.schedule(0, SimTime(10), Ev::Rewind);
+        eng.run_until(SimTime::MAX);
+    }
+
+    /// Regression: a one-shard round runs to the end of the run, so the
+    /// budget used to be checked only after it — a runaway model never
+    /// tripped it. The guard now stops every layout on the first event past
+    /// the budget, serial and parallel alike.
+    #[test]
+    fn budget_trips_on_the_first_event_past_it() {
+        for (n, threads) in [(1, 1), (2, 1), (2, 2)] {
+            let mut eng = recorders(n, threads, 16);
+            eng.schedule(0, SimTime::ZERO, Ev::Spin);
+            let err = catch_unwind(AssertUnwindSafe(|| eng.run_to_quiescence(10)))
+                .expect_err("a runaway model must trip the budget");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("exceeded"), "{n} shards: {msg}");
+            assert!(
+                eng.events_processed() <= 11,
+                "{n} shards, {threads} threads: {} events",
+                eng.events_processed()
+            );
+        }
+    }
+
+    #[test]
+    fn one_shard_telemetry_counts_kinds_only_when_enabled() {
+        let run = |telemetry: bool| {
+            let mut eng = solo();
+            if telemetry {
+                eng.enable_telemetry();
+            }
+            eng.model_mut(0).chain_remaining = 5;
+            eng.schedule(0, SimTime::ZERO, Ev::Chain);
+            eng.schedule(0, SimTime(1), Ev::Tag(1));
+            eng.schedule(0, SimTime(2), Ev::Tag(2));
+            eng.run_until(SimTime::MAX);
+            eng.stats()
+        };
+        let stats = run(true);
+        assert_eq!(stats.events_processed, 8);
+        assert_eq!(stats.queue_high_water, 3);
+        assert_eq!(stats.per_type, vec![("chain", 6), ("tag", 2)]);
+        assert!(stats.wall_secs >= 0.0);
+        let plain = run(false);
+        assert_eq!(plain.events_processed, 8);
+        assert!(plain.per_type.is_empty());
+    }
+
+    #[test]
+    fn one_shard_profiling_times_phases_without_changing_results() {
+        let run = |profiled: bool| {
+            let mut eng = solo();
+            eng.model_mut(0).chain_remaining = 200;
+            if profiled {
+                eng.enable_profiling();
+            }
+            eng.schedule(0, SimTime::ZERO, Ev::Chain);
+            eng.schedule(0, SimTime(5), Ev::Tag(7));
+            eng.run_until(SimTime::MAX);
+            let profile = eng.profile();
+            (eng.into_models().remove(0).seen, profile)
+        };
+        let (plain_seen, plain_profile) = run(false);
+        let (prof_seen, profile) = run(true);
+        // Profiling is passive: the event history is identical.
+        assert_eq!(plain_seen, prof_seen);
+        // Phase timers only accumulate when profiling is on.
+        assert_eq!(plain_profile.pop_secs, 0.0);
+        assert_eq!(plain_profile.sched_secs, 0.0);
+        assert!(profile.pop_secs > 0.0);
+        assert!(profile.dispatch_secs > 0.0);
+        assert!(profile.sched_secs > 0.0);
+        assert_eq!(profile.events_processed, 202);
+        assert_eq!(profile.events_scheduled, 202);
+        // Profiling implies telemetry: per-kind counts are populated.
+        assert!(!profile.per_type.is_empty());
+        // Phase seconds are estimates scaled up from 4 sampled cycles — on
+        // a run this tiny the clock-read cost of the probes dwarfs the
+        // near-empty handlers, so no ratio against wall_secs is meaningful
+        // here; finiteness is all that can be asserted at this scale. The
+        // realistic-scale coherence bound lives in tests/report.rs.
+        assert!(profile.pop_secs.is_finite() && profile.dispatch_secs.is_finite());
+        #[cfg(target_os = "linux")]
+        assert!(profile.peak_rss_bytes.is_some());
+    }
+
+    #[test]
+    fn queue_capacity_does_not_change_results() {
+        let run = |capacity: usize| {
+            let mut eng = recorders(1, 1, capacity);
+            for id in 0..50 {
+                eng.schedule(0, SimTime(100 - id as u64), Ev::Tag(id));
+            }
+            eng.run_until(SimTime::MAX);
+            (eng.model(0).seen.clone(), eng.stats().queue_high_water)
+        };
+        let small = run(1);
+        assert_eq!(small, run(4096));
+        assert_eq!(small.1, 50);
+    }
+
+    /// Staged seeds flow through a full run exactly like scheduled ones:
+    /// identical event history, counters, and high-water mark.
+    #[test]
+    fn staged_seeds_run_bit_identically_to_scheduled_ones() {
+        let run = |stage: bool| {
+            let mut eng = solo();
+            eng.model_mut(0).chain_remaining = 40;
+            for (at, id) in [(70, 0), (10, 1), (10, 2), (35, 3), (0, 4)] {
+                if stage {
+                    eng.stage(0, SimTime(at), Ev::Tag(id));
+                } else {
+                    eng.schedule(0, SimTime(at), Ev::Tag(id));
+                }
+            }
+            // A chain scheduled normally, interleaving with staged seeds.
+            eng.schedule(0, SimTime::ZERO, Ev::Chain);
+            eng.run_until(SimTime::MAX);
+            (
+                eng.model(0).seen.clone(),
+                eng.events_processed(),
+                eng.stats().queue_high_water,
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 }

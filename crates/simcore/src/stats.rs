@@ -114,87 +114,6 @@ impl Welford {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-bin histogram
-// ---------------------------------------------------------------------------
-
-/// Histogram over explicit bin edges (used for the paper's Fig. 3(c)
-/// response-time distribution: `[0,.2] [.2,.4] ... [1.5,2] >2`).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    edges: Vec<f64>,
-    counts: Vec<u64>,
-    overflow: u64,
-    underflow: u64,
-}
-
-impl Histogram {
-    /// Build from ascending edges; bin `i` covers `[edges[i], edges[i+1])`.
-    ///
-    /// # Panics
-    /// If fewer than two edges are supplied or the edges are not ascending.
-    pub fn with_edges(edges: &[f64]) -> Self {
-        assert!(edges.len() >= 2, "need at least two edges");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "edges must be strictly ascending"
-        );
-        Histogram {
-            edges: edges.to_vec(),
-            counts: vec![0; edges.len() - 1],
-            overflow: 0,
-            underflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn add(&mut self, x: f64) {
-        if x < self.edges[0] {
-            self.underflow += 1;
-            return;
-        }
-        if x >= *self.edges.last().expect("non-empty edges") {
-            self.overflow += 1;
-            return;
-        }
-        // Binary search for the containing bin.
-        let idx = match self
-            .edges
-            .binary_search_by(|e| e.partial_cmp(&x).expect("no NaN edges"))
-        {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let last = self.counts.len() - 1;
-        self.counts[idx.min(last)] += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Bin edges.
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
-    /// Observations above the last edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Observations below the first edge.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Total observations including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.overflow + self.underflow
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Log-scale histogram with quantiles
 // ---------------------------------------------------------------------------
 
@@ -265,33 +184,6 @@ impl LogHistogram {
             }
         }
         Some(self.floor * self.growth.powi(self.counts.len() as i32))
-    }
-
-    /// Fraction of observations at or below `x`.
-    pub fn fraction_le(&self, x: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let hi = self.floor * self.growth.powi(i as i32 + 1);
-            if hi <= x {
-                acc += c;
-            } else {
-                break;
-            }
-        }
-        acc as f64 / self.total as f64
-    }
-
-    /// Merge another histogram with identical geometry.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        assert!((self.floor - other.floor).abs() < 1e-12);
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
     }
 }
 
@@ -628,27 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::with_edges(&[0.0, 0.2, 0.4, 1.0]);
-        h.add(0.1); // bin 0
-        h.add(0.2); // bin 1 (left-closed)
-        h.add(0.39); // bin 1
-        h.add(0.5); // bin 2
-        h.add(2.0); // overflow
-        h.add(-0.1); // underflow
-        assert_eq!(h.counts(), &[1, 2, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn histogram_rejects_unsorted_edges() {
-        let _ = Histogram::with_edges(&[0.0, 2.0, 1.0]);
-    }
-
-    #[test]
     fn log_histogram_quantiles() {
         let mut h = LogHistogram::response_times();
         for i in 1..=1000 {
@@ -659,29 +530,6 @@ mod tests {
         let p99 = h.quantile(0.99).unwrap();
         assert!((p99 - 0.99).abs() / 0.99 < 0.05, "p99={p99}");
         assert!(h.quantile(0.0).unwrap() <= h.quantile(1.0).unwrap());
-    }
-
-    #[test]
-    fn log_histogram_fraction_le() {
-        let mut h = LogHistogram::response_times();
-        for i in 1..=100 {
-            h.add(i as f64); // 1..100 s
-        }
-        let f = h.fraction_le(50.0);
-        assert!((f - 0.5).abs() < 0.05, "fraction={f}");
-        assert_eq!(h.fraction_le(0.0001), 0.0);
-        assert!((h.fraction_le(1e9) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_histogram_merge() {
-        let mut a = LogHistogram::response_times();
-        let mut b = LogHistogram::response_times();
-        a.add(0.1);
-        b.add(10.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.fraction_le(1.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -132,10 +132,9 @@ impl ShardLayout {
 
 /// The scheduling facade handlers see: shard-routing [`ShardIo`] wrapper.
 ///
-/// Handlers call `schedule`/`schedule_now` exactly as they did against the
-/// serial `EventQueue`; the facade looks up the destination shard from the
-/// event payload and turns cross-shard destinations into lookahead-checked
-/// sends. Local destinations take the plain event-list path.
+/// Handlers call `schedule`/`schedule_now` without naming a shard; the
+/// facade looks up the destination shard from the event payload and turns
+/// cross-shard destinations into lookahead-checked sends. Local destinations take the plain event-list path.
 pub(crate) struct SimQueue<'a, 'b> {
     pub io: &'a mut ShardIo<'b, Ev, ObsMsg>,
     pub layout: &'a ShardLayout,

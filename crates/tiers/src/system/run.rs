@@ -46,8 +46,8 @@ impl RunTrace {
 /// appends nothing, so healthy runs stay bit-identical.
 ///
 /// Session arrivals go through the queue's **staged lane**
-/// ([`EventQueue::stage`]): they draw the same RNG stream and claim the
-/// same sequence numbers as direct pushes (so pop order is bit-identical),
+/// ([`ShardedEngine::stage`]): they draw the same RNG stream and claim the
+/// same keys as direct schedules (so pop order is bit-identical),
 /// but sit in a flat sorted array the backend merges from lazily — a
 /// 1M-session run starts without pushing a million heap entries up front.
 pub(super) fn seed_engine_events(engine: &mut ShardedEngine<System>) {

@@ -8,7 +8,7 @@
 //! plain binary-heap reference loop.
 
 use rubbos_ntier::simcore::testkit::{check, Gen};
-use rubbos_ntier::simcore::{Engine, EventQueue, Model, SimTime};
+use rubbos_ntier::simcore::{ShardIo, ShardModel, ShardedEngine, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -50,13 +50,20 @@ impl Chaos {
     }
 }
 
-impl Model for Chaos {
+impl ShardModel for Chaos {
     type Event = u32;
+    type Obs = ();
 
-    fn handle(&mut self, now: SimTime, event: u32, q: &mut EventQueue<u32>) {
+    fn handle(&mut self, now: SimTime, event: u32, io: &mut ShardIo<'_, u32, ()>) {
         for (delay, child) in self.fire(now.as_micros(), event) {
-            q.schedule_after(SimTime::from_micros(delay), child);
+            io.schedule_after(SimTime::from_micros(delay), child);
         }
+    }
+
+    fn ingest(&mut self, _: SimTime, _: ()) {}
+
+    fn event_label(_: &u32) -> &'static str {
+        "chaos"
     }
 }
 
@@ -82,8 +89,8 @@ fn reference_log(seeds: &[(u64, u32)], budget: u32) -> Vec<(u64, u32)> {
     model.log
 }
 
-/// Drive the chaotic schedule through the engine (with and without the
-/// staged-arrivals lane for the seeds) and require the reference loop's
+/// Drive the chaotic schedule through a one-shard engine (with and without
+/// the staged-arrivals lane for the seeds) and require the reference loop's
 /// exact delivery log.
 #[test]
 fn chaotic_schedules_match_the_reference_order() {
@@ -94,23 +101,21 @@ fn chaotic_schedules_match_the_reference_order() {
         let budget = g.usize_in(50, 2_000) as u32;
         let expected = reference_log(&seeds, budget);
         for stage in [false, true] {
-            let mut e = Engine::with_capacity(
-                Chaos {
-                    log: Vec::new(),
-                    budget,
-                },
-                16,
-            );
+            let model = Chaos {
+                log: Vec::new(),
+                budget,
+            };
+            let mut e = ShardedEngine::new(vec![model], SimTime::ZERO, 1, 16);
             for &(at, id) in &seeds {
                 if stage {
-                    e.queue_mut().stage(SimTime::from_micros(at), id);
+                    e.stage(0, SimTime::from_micros(at), id);
                 } else {
-                    e.schedule(SimTime::from_micros(at), id);
+                    e.schedule(0, SimTime::from_micros(at), id);
                 }
             }
             e.run_until(SimTime::MAX);
             assert_eq!(
-                e.into_model().log,
+                e.into_models().remove(0).log,
                 expected,
                 "delivery diverged from the reference (staged: {stage}, seed {:#x})",
                 g.seed()

@@ -69,7 +69,7 @@ fn bench_engine() {
             remaining: black_box(EVENTS),
             checksum: black_box(1),
         };
-        let mut e = ShardedEngine::new(vec![model], SimTime::ZERO, 1, 1024);
+        let mut e = ShardedEngine::new(vec![model], SimTime::ZERO, 1024);
         e.schedule(0, SimTime::ZERO, Ev::Ping);
         e.run_until(SimTime::MAX);
         black_box((e.events_processed(), e.model(0).checksum));

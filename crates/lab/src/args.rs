@@ -35,10 +35,6 @@
 //!   bit-identical with or without the flag.
 //! * `--profile` — enable engine profiling on every run and print a
 //!   phase-timing/throughput summary after the tables. Also passive.
-//! * `--par-run N` — worker threads for the horizon-sharded single-run
-//!   engine (default 1 = serial). The shard layout is topology-fixed and
-//!   independent of `N`, so every value reproduces bit-identical results;
-//!   a performance knob only.
 //! * `--tail-sample K` — arm the tail-sampling flight recorder: retain the
 //!   K slowest (plus all failed) traces per 100 ms window with their
 //!   critical-path attribution. Passive; requires tracing on the run.
@@ -89,11 +85,6 @@ pub struct BenchArgs {
     /// phase-timing summary afterwards. Passive — the printed tables are
     /// bit-identical with or without it.
     pub profile: bool,
-    /// `--par-run N`: worker threads for the horizon-sharded single-run
-    /// engine (`None` keeps the serial default). Semantics-neutral: the
-    /// shard layout never depends on the thread count, so outputs are
-    /// bit-identical for every `N` — only wall-clock performance changes.
-    pub par_run: Option<u32>,
     /// `--tail-sample K`: arm the flight recorder, retaining the K slowest
     /// (plus all failed) traces per window. Passive — run outputs are
     /// bit-identical with or without it. Requires tracing to be enabled on
@@ -311,15 +302,6 @@ impl BenchArgs {
                     };
                     out.metrics = Some(MetricsSink::parse(&v)?);
                 }
-                "--par-run" => {
-                    let Some(v) = args.next() else {
-                        return Err("--par-run needs a thread count ≥ 1".into());
-                    };
-                    match v.trim().parse::<u32>() {
-                        Ok(n) if n >= 1 => out.par_run = Some(n),
-                        _ => return Err(format!("--par-run '{v}' must be a count ≥ 1")),
-                    }
-                }
                 "--tail-sample" => {
                     let Some(v) = args.next() else {
                         return Err("--tail-sample needs a per-window count K".into());
@@ -450,19 +432,16 @@ mod tests {
         // A harness's own flags and their values pass through to `rest`.
         let ok = parse(&["--window", "250", "--quick"]).expect("parses");
         assert_eq!(ok.rest, vec!["--window".to_string(), "250".to_string()]);
-        // Any other flag is an error, retired ones included (the event-queue
-        // backend switch is gone: the calendar queue is the only backend).
-        for name in ["queue", "frobnicate"] {
+        // Any other flag is an error, retired ones included: the calendar
+        // queue is the only event-queue backend, and the engine runs every
+        // shard on one thread, so `--queue` and `--par-run` are gone.
+        for name in ["queue", "par-run", "frobnicate"] {
             let flag = format!("--{name}");
             assert_eq!(
                 parse(&[flag.as_str(), "calendar"]).unwrap_err(),
                 format!("unknown flag '{flag}'")
             );
         }
-        assert_eq!(parse(&["--par-run", "4"]).expect("parses").par_run, Some(4));
-        assert!(parse(&["--par-run", "0"]).is_err());
-        assert!(parse(&["--par-run"]).is_err());
-        assert_eq!(parse(&["--quick"]).expect("parses").par_run, None);
     }
 
     #[test]

@@ -121,13 +121,6 @@ pub struct ExperimentPlan {
     /// off, but profiled plans always re-execute — phase timings describe
     /// *this* execution, not a store replay).
     pub profile: bool,
-    /// Worker threads for the sharded single-run engine on every point.
-    /// **Deliberately excluded from the content digest** ([`spec_json`]):
-    /// the shard layout is topology-fixed and independent of the thread
-    /// count, so every `par_run` value produces bit-identical outputs
-    /// (proven by the differential and golden suites) — a performance knob,
-    /// not a semantic one.
-    pub par_run: u32,
     /// Tail-sampling flight recorder (passive; requires `trace` to be
     /// enabled to arm). Summaries ride on the per-point [`tiers::RunTrace`],
     /// so — like traces — they are only present for executed points, never
@@ -152,7 +145,6 @@ impl ExperimentPlan {
             trace: TraceConfig::Off,
             metrics: MetricsConfig::Off,
             profile: false,
-            par_run: 1,
             flight: FlightConfig::Off,
             slo: None,
         }
@@ -211,14 +203,6 @@ impl ExperimentPlan {
     /// Enable engine profiling on every point of the plan.
     pub fn with_profile(mut self, profile: bool) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Set the worker-thread count for each point's sharded single-run
-    /// engine. Performance only — outputs and content digests are unchanged
-    /// for every value (the shard layout never depends on it).
-    pub fn with_par_run(mut self, threads: u32) -> Self {
-        self.par_run = threads.max(1);
         self
     }
 

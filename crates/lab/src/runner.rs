@@ -111,7 +111,6 @@ fn execute_point(point: &RunPoint, plan: &ExperimentPlan) -> PointYield {
     let mut cfg = point.spec.to_config();
     cfg.metrics = plan.metrics;
     cfg.profile = plan.profile;
-    cfg.par_run = plan.par_run;
     cfg.flight = plan.flight;
     cfg.slo = plan.slo;
     let traced = cfg.trace.enabled();

@@ -36,8 +36,7 @@ pub mod render;
 pub mod usl;
 
 pub use bench_json::{
-    BenchComparison, BenchEntry, BenchReport, Fingerprint, Severity, ShardEntry,
-    BENCH_SCHEMA_VERSION,
+    BenchComparison, BenchEntry, BenchReport, Fingerprint, Severity, BENCH_SCHEMA_VERSION,
 };
 pub use diff::{
     check_shape, classify_curve, load_sweep, CurveShape, RunDiff, ShapeCheck, SweepPoint,

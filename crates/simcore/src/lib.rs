@@ -10,10 +10,11 @@
 //!   simulator. Each shard of a model is a plain `&mut` state machine, events
 //!   are a user-defined enum, and every shard pops its events in `(time,
 //!   key)` order, where the key is the scheduling shard's insertion counter.
-//!   One shard is the serial simulator; more shards run in lookahead-bounded
-//!   barrier rounds ([`shard`]). No `Rc`, no `RefCell`, no dynamic dispatch
-//!   on the hot path. Each future-event list is a calendar queue (the
-//!   crate-private `queue` module), checked against a binary-heap oracle.
+//!   One shard is the serial simulator; more shards run as one exact
+//!   `(time, key)` merge on the calling thread ([`shard`]). No `Rc`, no
+//!   `RefCell`, no dynamic dispatch on the hot path. Each future-event list
+//!   is a calendar queue (the crate-private `queue` module), checked against
+//!   a binary-heap oracle.
 //! * [`rng`] — deterministic, forkable random-number streams so that every
 //!   experiment is exactly reproducible and parallel parameter sweeps are
 //!   independent of scheduling order.

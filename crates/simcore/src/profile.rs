@@ -84,34 +84,32 @@ pub struct EngineProfile {
     /// kernel counter is a high-water mark for the whole process, so in a
     /// multi-run process it is cumulative across runs.
     pub peak_rss_bytes: Option<u64>,
-    /// Barrier rounds executed (a one-shard run is one round per
-    /// `run_*` call).
+    /// Batches executed: runs of consecutive events on one shard (a
+    /// one-shard run is one batch per `run_*` call). Named `rounds` only
+    /// because the repository benchmark (`perfbench/`) reads it under that
+    /// name for its `simcore.rounds` metric; rename it together with that
+    /// metric.
     pub rounds: u64,
-    /// Per-shard load attribution (empty only in a hand-built profile):
-    /// events, wall-clock busy seconds inside rounds, and wall-clock seconds
-    /// stalled at round barriers.
+    /// Per-shard load attribution (empty only in a hand-built profile).
     pub shards: Vec<ShardLoad>,
 }
 
-/// One shard's share of a sharded run: how much it worked and how long it
-/// waited for the other shards at the round barriers. `stall / wall` is the
-/// *horizon-stall share* — the headline diagnostic for a parallel point that
-/// failed to speed up (short lookahead ⇒ many rounds ⇒ mostly stall).
-/// A parallel run times every round; the one-worker round loop estimates
-/// busy seconds from a deterministic 1-in-16 round sample (scaled back up),
-/// like the engine's pop/dispatch phase timings. On a host with fewer cores
-/// than workers the clocks include involuntary preemption, so read the
-/// figures as scheduler-level attribution, not pure simulation cost.
+/// One shard's share of a sharded run: its events, and the part of the
+/// loop's wall clock attributed to them. One thread runs every shard, so
+/// the busy shares of all shards add up to the loop's wall clock; each is
+/// split off in proportion to the shard's sampled pop + dispatch estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardLoad {
     /// Shard index (shard 0 is the layout's front shard by convention).
     pub shard: usize,
     /// Events this shard processed.
     pub events_processed: u64,
-    /// Wall-clock seconds spent processing rounds on this shard.
+    /// Wall-clock seconds attributed to this shard's events (0 unless the
+    /// run was profiled).
     pub busy_secs: f64,
-    /// Wall-clock seconds this shard's worker spent waiting at barriers
-    /// (attributed evenly when one worker owns several shards).
+    /// Always 0: no shard ever waits for another. Kept only because the
+    /// repository benchmark (`perfbench/`) still reports it as
+    /// `simcore.shardN.stall_s`; drop it together with that metric.
     pub stall_secs: f64,
 }
 
@@ -120,15 +118,6 @@ impl ShardLoad {
     pub fn utilization(&self, wall_secs: f64) -> f64 {
         if wall_secs > 0.0 {
             self.busy_secs / wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of `wall_secs` this shard spent stalled at barriers.
-    pub fn stall_share(&self, wall_secs: f64) -> f64 {
-        if wall_secs > 0.0 {
-            self.stall_secs / wall_secs
         } else {
             0.0
         }
@@ -195,17 +184,16 @@ impl EngineProfile {
         }
         if !self.shards.is_empty() {
             s.push_str(&format!(
-                "  rounds     {:>12}   across {} shards\n",
+                "  batches    {:>12}   across {} shards\n",
                 self.rounds,
                 self.shards.len()
             ));
             for sh in &self.shards {
                 s.push_str(&format!(
-                    "    shard {}  {:>12} events  util {:>5.1}%  stall {:>5.1}%\n",
+                    "    shard {}  {:>12} events  util {:>5.1}%\n",
                     sh.shard,
                     sh.events_processed,
                     100.0 * sh.utilization(self.wall_secs),
-                    100.0 * sh.stall_share(self.wall_secs),
                 ));
             }
         }
@@ -328,24 +316,22 @@ mod tests {
                     shard: 0,
                     events_processed: 900,
                     busy_secs: 1.5,
-                    stall_secs: 0.1,
+                    stall_secs: 0.0,
                 },
                 ShardLoad {
                     shard: 1,
                     events_processed: 100,
-                    busy_secs: 0.2,
-                    stall_secs: 1.4,
+                    busy_secs: 0.5,
+                    stall_secs: 0.0,
                 },
             ],
             ..Default::default()
         };
         let s = p.summary();
-        assert!(s.contains("rounds"));
-        assert!(s.contains("across 2 shards"));
+        assert!(s.contains("42   across 2 shards"));
         assert!(s.contains("shard 0"));
         // shard 0: busy 1.5 of wall 2.0 ⇒ 75% utilization.
         assert!(s.contains("util  75.0%"));
-        // shard 1: stalled 1.4 of wall 2.0 ⇒ 70% stall share.
-        assert!(s.contains("stall  70.0%"));
+        assert!(s.contains("util  25.0%"));
     }
 }

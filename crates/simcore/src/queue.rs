@@ -20,12 +20,12 @@
 //! — at 1M users that is a million heap pushes (and a million live heap
 //! slots) before the first event fires. `EventQueue::stage` instead appends
 //! pre-run events, with the keys they would have been pushed under, to a
-//! plain vector; the vector is sorted once by `(time, key)` on the first pop
-//! and merged lazily with the backend at pop time (pop = min of the two
-//! fronts). Because the merge respects the same total order, the pop
-//! sequence — and therefore every digest — is bit-identical to pushing
-//! everything up front, while the backend only ever holds the steady-state
-//! working set.
+//! plain vector; the vector is sorted once by `(time, key)` when the run
+//! first asks for the queue's minimum, and merged lazily with the backend at
+//! pop time (pop = min of the two fronts). Because the merge respects the
+//! same total order, the pop sequence — and therefore every digest — is
+//! bit-identical to pushing everything up front, while the backend only ever
+//! holds the steady-state working set.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -239,18 +239,6 @@ impl<E> CalendarBackend<E> {
         Some((found.1, found.2))
     }
 
-    /// Key of the minimum pending event without memoizing (`&self`).
-    pub(crate) fn peek_min(&self) -> Option<(SimTime, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some((_, at, seq)) = self.cached_min {
-            return Some((at, seq));
-        }
-        let (_, at, seq) = self.locate_min();
-        Some((at, seq))
-    }
-
     /// Remove and return the minimum pending event.
     pub(crate) fn pop_min(&mut self) -> Option<Scheduled<E>> {
         if self.len == 0 {
@@ -292,26 +280,16 @@ impl<E> CalendarBackend<E> {
 /// stays bit-identical and repeatable.
 pub(crate) const PROFILE_SAMPLE_MASK: u64 = 63;
 
-/// Outcome of one `EventQueue::pop_at_most` attempt.
-pub(crate) enum PopNext<E> {
-    /// Nothing pending anywhere (backend and staged lane both empty).
-    Empty,
-    /// The earliest pending event lies beyond the horizon.
-    Beyond,
-    /// The popped minimum; the queue clock has advanced to its time.
-    Event(Scheduled<E>),
-}
-
 /// One shard's pending-event set.
 ///
 /// Internally a calendar queue plus the staged-arrivals lane (see module
 /// docs); externally one strict `(time, key)` total order. Keys are assigned
 /// by the caller (see [`shard_key`](crate::shard_key)): each shard draws
 /// them from its own monotone counter, so events arriving from several
-/// shards merge in an order that is independent of thread scheduling.
+/// shards have a fixed order that depends only on who sent them when.
 pub(crate) struct EventQueue<E> {
     backend: CalendarBackend<E>,
-    /// Pre-run staged events; sorted *descending* by key on first pop so the
+    /// Pre-run staged events; sorted *descending* by key on first use so the
     /// current front is `last()` and consuming it is a by-value `pop()`.
     staged: Vec<Scheduled<E>>,
     staged_sorted: bool,
@@ -418,60 +396,63 @@ impl<E> EventQueue<E> {
         self.backend.len() + self.staged.len()
     }
 
-    /// Timestamp of the next pending event, if any.
-    #[inline]
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        let staged_key = if self.staged_sorted {
-            self.staged.last().map(Scheduled::key)
-        } else {
-            self.staged.iter().map(Scheduled::key).min()
-        };
-        match (staged_key, self.backend.peek_min()) {
-            (None, b) => b.map(|(at, _)| at),
-            (s, None) => s.map(|(at, _)| at),
-            (Some(s), Some(b)) => Some(s.min(b).0),
-        }
-    }
-
     /// Largest number of events ever pending at once.
     #[inline]
     pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
-    /// Pop the globally minimum pending event if it is at or before
-    /// `horizon`, advancing the queue clock to its time.
-    pub(crate) fn pop_at_most(&mut self, horizon: SimTime) -> PopNext<E> {
+    /// Sort a freshly staged lane (once, descending so the front is
+    /// `last()`): one deferred sort instead of n backend pushes.
+    fn sort_staged(&mut self) {
         if !self.staged_sorted {
-            // One deferred sort instead of n backend pushes; descending so
-            // the front is `last()`.
             self.staged.sort_by_key(|s| std::cmp::Reverse(s.key()));
             self.staged_sorted = true;
         }
+    }
+
+    /// Key of the minimum pending event, and whether it sits in the staged
+    /// lane rather than the backend.
+    fn front(&mut self) -> Option<((SimTime, u64), bool)> {
+        self.sort_staged();
+        let staged = self.staged.last().map(Scheduled::key);
+        match (staged, self.backend.min_key()) {
+            (None, None) => None,
+            (Some(s), None) => Some((s, true)),
+            (None, Some(b)) => Some((b, false)),
+            (Some(s), Some(b)) => Some(if s < b { (s, true) } else { (b, false) }),
+        }
+    }
+
+    /// Key `(time, key)` of the minimum pending event, if any. The first
+    /// call after staging sorts the staged lane, so the engine calls this
+    /// before its first (timed) pop.
+    pub(crate) fn min_key(&mut self) -> Option<(SimTime, u64)> {
+        self.front().map(|(key, _)| key)
+    }
+
+    /// Pop the minimum pending event if its `(time, key)` is below `limit`
+    /// and its time is at or before `until`, advancing the queue clock to
+    /// its time.
+    pub(crate) fn pop_below(
+        &mut self,
+        limit: (SimTime, u64),
+        until: SimTime,
+    ) -> Option<Scheduled<E>> {
         self.started = true;
-        let staged_key = self.staged.last().map(Scheduled::key);
-        let from_staged = match (staged_key, self.backend.min_key()) {
-            (None, None) => return PopNext::Empty,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(s), Some(b)) => s < b,
-        };
-        let key = if from_staged {
-            staged_key.expect("staged front vanished")
-        } else {
-            self.backend.min_key().expect("backend min vanished")
-        };
-        if key.0 > horizon {
-            return PopNext::Beyond;
+        let (key, from_staged) = self.front()?;
+        if key >= limit || key.0 > until {
+            return None;
         }
         let item = if from_staged {
-            self.staged.pop().expect("staged front vanished")
+            self.staged.pop()
         } else {
-            self.backend.pop_min().expect("backend min vanished")
-        };
+            self.backend.pop_min()
+        }
+        .expect("minimum vanished");
         debug_assert!(item.at >= self.now, "event queue time went backwards");
         self.now = item.at;
-        PopNext::Event(item)
+        Some(item)
     }
 
     /// Advance the clock to `t` if it is ahead (horizon handling).
@@ -501,6 +482,9 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    /// A pop limit above every key.
+    const EVERYTHING: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+
     /// The oracle the calendar is checked against: a binary heap over
     /// reversed entries, so the max-heap pops the minimum `(at, seq)`.
     struct HeapBackend(BinaryHeap<Reverse<Scheduled<u64>>>);
@@ -512,7 +496,7 @@ mod tests {
         fn push(&mut self, item: Scheduled<u64>) {
             self.0.push(Reverse(item));
         }
-        fn peek_min(&self) -> Option<(SimTime, u64)> {
+        fn min_key(&self) -> Option<(SimTime, u64)> {
             self.0.peek().map(|r| r.0.key())
         }
         fn pop_min(&mut self) -> Option<Scheduled<u64>> {
@@ -572,8 +556,7 @@ mod tests {
                         seq += 1;
                     }
                 } else {
-                    assert_eq!(heap.peek_min(), cal.min_key());
-                    assert_eq!(heap.peek_min(), cal.peek_min());
+                    assert_eq!(heap.min_key(), cal.min_key());
                     let a = heap.pop_min().map(|s| (s.at, s.seq, s.event));
                     let b = cal.pop_min().map(|s| (s.at, s.seq, s.event));
                     assert_eq!(a, b);
@@ -626,7 +609,7 @@ mod tests {
         // A later push at 32.7 ms — ≥ now, far below every pending event —
         // must still pop first, as it does from the heap.
         push(&mut heap, &mut cal, 32_699);
-        assert_eq!(cal.peek_min(), Some((SimTime::from_micros(32_699), 301)));
+        assert_eq!(cal.min_key(), Some((SimTime::from_micros(32_699), 301)));
         loop {
             let a = heap.pop_min().map(|s| s.key());
             let b = cal.pop_min().map(|s| s.key());
@@ -705,14 +688,10 @@ mod tests {
             }
             let mut chain = g.usize_in(0, 20);
             loop {
-                let a = match staged.pop_at_most(SimTime::MAX) {
-                    PopNext::Event(s) => Some((s.at, s.seq, s.event)),
-                    _ => None,
-                };
-                let b = match pushed.pop_at_most(SimTime::MAX) {
-                    PopNext::Event(s) => Some((s.at, s.seq, s.event)),
-                    _ => None,
-                };
+                let a = staged.pop_below(EVERYTHING, SimTime::MAX);
+                let a = a.map(|s| (s.at, s.seq, s.event));
+                let b = pushed.pop_below(EVERYTHING, SimTime::MAX);
+                let b = b.map(|s| (s.at, s.seq, s.event));
                 assert_eq!(a, b, "diverged (seed {})", g.seed());
                 let Some((at, _, _)) = a else { break };
                 // Mid-run follow-ups land among still-staged arrivals.
@@ -734,24 +713,41 @@ mod tests {
     fn staging_after_the_first_pop_panics() {
         let mut q = EventQueue::with_capacity(4);
         q.push(SimTime::from_micros(1), 0, 1u64);
-        let _ = q.pop_at_most(SimTime::MAX);
+        let _ = q.pop_below(EVERYTHING, SimTime::MAX);
         q.stage(SimTime::from_micros(2), 1, 2u64);
     }
 
     #[test]
-    fn peek_time_sees_staged_and_backend_events() {
+    fn min_key_sees_staged_and_backend_events() {
         let mut q = EventQueue::with_capacity(4);
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.min_key(), None);
         assert_eq!(q.len(), 0);
         q.push(SimTime::from_micros(9), 0, 0u64);
         q.stage(SimTime::from_micros(4), 1, 1u64);
-        // Staged lane not yet sorted; peek must still find the true minimum.
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(4)));
+        // The staged lane is not sorted yet; the minimum is still found.
+        assert_eq!(q.min_key(), Some((SimTime::from_micros(4), 1)));
         assert_eq!(q.len(), 2);
-        match q.pop_at_most(SimTime::MAX) {
-            PopNext::Event(s) => assert_eq!(s.at, SimTime::from_micros(4)),
-            _ => panic!("expected an event"),
-        }
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
+        let popped = q.pop_below(EVERYTHING, SimTime::MAX).expect("an event");
+        assert_eq!(popped.at, SimTime::from_micros(4));
+        assert_eq!(q.min_key(), Some((SimTime::from_micros(9), 0)));
+    }
+
+    #[test]
+    fn pop_below_stops_at_the_limit_and_at_until() {
+        let mut q = EventQueue::with_capacity(4);
+        q.push(SimTime::from_micros(5), 7, 0u64);
+        q.push(SimTime::from_micros(6), 1, 1u64);
+        let at = |us| SimTime::from_micros(us);
+        // A limit at the head's own key excludes it; one past admits it.
+        assert!(q.pop_below((at(5), 7), SimTime::MAX).is_none());
+        assert!(q.pop_below((at(5), 8), at(4)).is_none());
+        assert_eq!(q.pop_below((at(5), 8), at(5)).map(|s| s.seq), Some(7));
+        assert_eq!(q.now(), at(5));
+        assert!(q.pop_below((at(6), 1), SimTime::MAX).is_none());
+        assert_eq!(
+            q.pop_below(EVERYTHING, SimTime::MAX).map(|s| s.seq),
+            Some(1)
+        );
+        assert!(q.pop_below(EVERYTHING, SimTime::MAX).is_none());
     }
 }

@@ -1,72 +1,56 @@
 //! The event loop: execution of **one** simulation across event shards.
 //!
-//! A one-shard layout is a serial event-list simulator: it pops a single
-//! future-event list in strict `(time, key)` order. With more shards the
-//! engine runs N lists — one per *shard* of the model — in **barrier
-//! rounds** bounded by the minimum cross-shard *lookahead* `L`: if every
-//! event a shard sends to another shard arrives at least `L` after the
-//! sending event's timestamp, then all events strictly below
-//! `min_next_event + L` are causally independent across shards and may
-//! execute concurrently. This is textbook conservative DES (Chandy–Misra
-//! style synchronization, specialized to a global barrier because tier-chain
-//! topologies have only a handful of shards).
+//! A model is cut into one or more *shards*, each a plain `&mut` state
+//! machine with its own future-event list. The engine runs them all on the
+//! calling thread as one exact merge: it always handles the pending event
+//! with the globally smallest `(time, key)` across the per-shard lists. A
+//! one-shard layout is the textbook serial event-list simulator.
 //!
-//! # Determinism
+//! # Keys
 //!
-//! Results are **bit-identical for every worker-thread count**, including
-//! one. Three mechanisms make this hold by construction rather than by test:
+//! Every scheduled event carries a `u64` key `(origin_shard << 56) |
+//! counter` drawn from the *sending* shard's own monotone counter at the
+//! moment it is sent, and goes straight into the destination shard's list.
+//! Keys are unique, so `(time, key)` is a strict total order and the merge
+//! order is a pure function of the simulation. A single-shard layout
+//! degenerates to `key == counter`, i.e. plain insertion order, and events
+//! one shard schedules for the same instant run FIFO.
 //!
-//! * **Shard-tagged keys.** Every scheduled event carries a `u64` key
-//!   `(origin_shard << 56) | counter` drawn from the *sending* shard's own
-//!   monotone counter. A destination queue orders its events by
-//!   `(time, key)`, so the merge order of events from several shards is a
-//!   pure function of the simulation, never of thread interleaving. A
-//!   single-shard layout degenerates to `key == counter`, i.e. plain
-//!   insertion order.
-//! * **Seq-reserving mailboxes.** Cross-shard sends are buffered per
-//!   `(source, destination)` pair during a round and drained after the
-//!   barrier in source-shard order. Since each message already carries its
-//!   key, drain order cannot affect pop order.
-//! * **Uniform round decisions.** The only shared decisions — the global
-//!   minimum next-event time and the round horizon derived from it — are
-//!   reduced at a barrier, so every thread takes the same branch.
+//! # Batches
+//!
+//! Re-scanning every list before each event would cost a scan per event.
+//! Instead the loop finds the shard holding the global minimum and runs it
+//! as a *batch* while its head stays below the *limit*: the smallest head of
+//! every other shard. Only the running shard can change the other lists —
+//! by sending to them — so a send that lands below the limit lowers it, and
+//! the batch stops exactly where another shard's event comes first.
 //!
 //! # Observations
 //!
 //! Shards may also emit *observations* — passive, order-tolerant payloads
 //! (trace spans destined for a recorder on another shard, say) that must not
-//! perturb event scheduling. Observations travel in their own mailboxes
-//! under a **separate** per-shard counter (so arming them never shifts event
-//! keys) and are ingested on the destination shard in `(time, key)` order,
-//! but only once they are *safe*: before dispatching an event at time `T`, a
-//! shard ingests every pending observation stamped `≤ T − L`. Anything still
-//! pending when the run stops is delivered by
-//! [`ShardedEngine::finish_observations`].
+//! perturb event scheduling. Observations use a **separate** per-shard key
+//! counter (so arming them never shifts event keys) and are ingested on the
+//! destination shard in `(time, key)` order under a delay rule: before
+//! handling an event at time `T`, a shard ingests every pending observation
+//! stamped `≤ T − L`, where `L` is the layout's *lookahead* (the smallest
+//! delay of any cross-shard send). Anything still pending when the run stops
+//! is delivered by [`ShardedEngine::finish_observations`].
 use crate::profile::{peak_rss_bytes, EngineProfile, EngineStats, ShardLoad};
-use crate::queue::{EventQueue, PopNext, PROFILE_SAMPLE_MASK};
-
-/// Round-timing sample mask for the *serial* round loop: busy clocks are
-/// read on a deterministic 1-in-16 sample of rounds and scaled back up
-/// ([`ROUND_SAMPLE_SCALE`]), keeping profiled runs cheap even when a tiny
-/// lookahead makes rounds tiny and numerous. Serial per-shard
-/// [`ShardLoad`](crate::ShardLoad) figures are therefore estimates, like
-/// the engine's pop/dispatch phase timings. The parallel loop times every
-/// round instead — see the comment in `run_parallel`.
-const ROUND_SAMPLE_MASK: u64 = 15;
-/// Scale factor undoing the 1-in-16 round sample.
-const ROUND_SAMPLE_SCALE: f64 = (ROUND_SAMPLE_MASK + 1) as f64;
+use crate::queue::{EventQueue, PROFILE_SAMPLE_MASK};
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// Bits above this position of an event key hold the origin shard id.
 pub const SHARD_KEY_BITS: u32 = 56;
 
-/// Per-`(destination, source)` cross-shard mailboxes: slot `dst * n + src`
-/// holds keyed messages deposited during a round and drained post-barrier.
-type Mailboxes<T> = Vec<Mutex<Vec<(SimTime, u64, T)>>>;
+/// An event's position in the merge order: `(time, key)`.
+type Key = (SimTime, u64);
+
+/// The head of an empty event list: above every real event's position
+/// (keys stay below `u64::MAX`: shard ids below 255, counters below 2^56).
+const EMPTY: Key = (SimTime::MAX, u64::MAX);
 
 /// Compose the `(origin_shard, counter)` event key (see module docs).
 #[inline]
@@ -84,11 +68,11 @@ pub fn shard_key(shard: usize, counter: u64) -> u64 {
 /// sends. Scheduling in the past is a programming error and panics. A shard
 /// must tolerate observations arriving *later* than the events around them
 /// (they are delivered under the lookahead delay rule).
-pub trait ShardModel: Send {
+pub trait ShardModel {
     /// Event payload (shared by all shards of one model).
-    type Event: Send;
+    type Event;
     /// Observation payload (use `()` when unused).
-    type Obs: Send;
+    type Obs;
 
     /// Process one event at simulated time `now`.
     fn handle(
@@ -107,25 +91,28 @@ pub trait ShardModel: Send {
     fn event_label(event: &Self::Event) -> &'static str;
 }
 
-/// Per-round I/O capability handed to [`ShardModel::handle`]: local
-/// scheduling, cross-shard sends, and observation emission.
+/// Pending observations of one shard, smallest `(time, key)` on top.
+type ObsHeap<O> = BinaryHeap<Reverse<ObsEntry<O>>>;
+
+/// I/O capability handed to [`ShardModel::handle`]: local scheduling,
+/// cross-shard sends, and observation emission.
 pub struct ShardIo<'a, E, O> {
     shard: usize,
-    /// Lower bound every cross-shard send must respect this round
-    /// (`round_min + lookahead`).
-    send_floor: SimTime,
-    queue: &'a mut EventQueue<E>,
-    counter: &'a mut u64,
-    obs_counter: &'a mut u64,
-    outbox: &'a mut [Vec<(SimTime, u64, E)>],
-    obs_outbox: &'a mut [Vec<(SimTime, u64, O)>],
+    counter: u64,
+    obs_counter: u64,
+    /// Where the current batch must stop (see module docs).
+    limit: Key,
+    /// Every shard's head; only sends from this shard can lower another's.
+    heads: &'a mut [Key],
+    queues: &'a mut [EventQueue<E>],
+    obs: &'a mut [ObsHeap<O>],
 }
 
 impl<E, O> ShardIo<'_, E, O> {
     /// Current simulated time on this shard.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.queues[self.shard].now()
     }
 
     /// This shard's index.
@@ -136,8 +123,8 @@ impl<E, O> ShardIo<'_, E, O> {
 
     #[inline]
     fn next_key(&mut self) -> u64 {
-        let k = shard_key(self.shard, *self.counter);
-        *self.counter += 1;
+        let k = shard_key(self.shard, self.counter);
+        self.counter += 1;
         k
     }
 
@@ -145,43 +132,32 @@ impl<E, O> ShardIo<'_, E, O> {
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let key = self.next_key();
-        self.queue.push(at, key, event);
+        self.queues[self.shard].push(at, key, event);
     }
 
     /// Schedule on this shard after a delay relative to now.
     #[inline]
     pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.queue.now() + delay, event);
+        self.schedule(self.now() + delay, event);
     }
 
     /// Schedule on this shard at the current instant, after everything
     /// already queued for it.
     #[inline]
     pub fn schedule_now(&mut self, event: E) {
-        self.schedule(self.queue.now(), event);
+        self.schedule(self.now(), event);
     }
 
-    /// Send an event to shard `dest` at absolute time `at`. A send to this
-    /// shard is an ordinary local schedule; a cross-shard send must respect
-    /// the lookahead (`at ≥ round_min + L`), which is what licenses the
-    /// round to run shards concurrently in the first place.
-    ///
-    /// # Panics
-    /// If a cross-shard `at` lands inside the current round's horizon.
+    /// Send an event to shard `dest` at absolute time `at`, keyed from this
+    /// shard's counter. A send to this shard is an ordinary local schedule.
     #[inline]
     pub fn send(&mut self, dest: usize, at: SimTime, event: E) {
-        if dest == self.shard {
-            self.schedule(at, event);
-            return;
-        }
-        assert!(
-            at >= self.send_floor,
-            "cross-shard send below the lookahead horizon: at={at} floor={} (shard {} -> {dest})",
-            self.send_floor,
-            self.shard
-        );
         let key = self.next_key();
-        self.outbox[dest].push((at, key, event));
+        self.queues[dest].push(at, key, event);
+        if dest != self.shard && (at, key) < self.heads[dest] {
+            self.heads[dest] = (at, key);
+            self.limit = self.limit.min((at, key));
+        }
     }
 
     /// Emit an observation stamped `at` toward shard `dest` (which may be
@@ -190,9 +166,9 @@ impl<E, O> ShardIo<'_, E, O> {
     /// described in the module docs.
     #[inline]
     pub fn observe(&mut self, dest: usize, at: SimTime, obs: O) {
-        let key = shard_key(self.shard, *self.obs_counter);
-        *self.obs_counter += 1;
-        self.obs_outbox[dest].push((at, key, obs));
+        let key = shard_key(self.shard, self.obs_counter);
+        self.obs_counter += 1;
+        self.obs[dest].push(Reverse(ObsEntry { at, key, obs }));
     }
 }
 
@@ -220,67 +196,52 @@ impl<O> Ord for ObsEntry<O> {
     }
 }
 
-/// One shard's execution state: its model, event list, counters, outboxes,
-/// and telemetry accumulators.
-struct ShardState<M: ShardModel> {
+/// Ingest every pending observation stamped `≤ bound` into `model`, in
+/// `(time, key)` order.
+fn ingest_through<M: ShardModel>(pending: &mut ObsHeap<M::Obs>, model: &mut M, bound: SimTime) {
+    while pending.peek().is_some_and(|Reverse(top)| top.at <= bound) {
+        let Reverse(e) = pending.pop().expect("peeked entry vanished");
+        model.ingest(e.at, e.obs);
+    }
+}
+
+/// One shard's model, key counters, and telemetry accumulators. Its event
+/// list and pending observations live beside it in the engine, where every
+/// shard's sends can reach them.
+struct ShardState<M> {
     model: M,
-    queue: EventQueue<M::Event>,
     counter: u64,
     obs_counter: u64,
-    outbox: Vec<Vec<(SimTime, u64, M::Event)>>,
-    obs_outbox: Vec<Vec<(SimTime, u64, M::Obs)>>,
-    obs_pending: BinaryHeap<Reverse<ObsEntry<M::Obs>>>,
     events_processed: u64,
     per_type: Vec<(&'static str, u64)>,
     pop_secs: f64,
     dispatch_secs: f64,
     timed_events: u64,
-    busy_secs: f64,
-    stall_secs: f64,
 }
 
-impl<M: ShardModel> ShardState<M> {
-    /// Ingest every safe pending observation: all entries stamped `≤ bound`,
-    /// in `(time, key)` order.
-    fn drain_obs_through(&mut self, bound: SimTime) {
-        while let Some(Reverse(top)) = self.obs_pending.peek() {
-            if top.at > bound {
-                break;
-            }
-            let Reverse(e) = self.obs_pending.pop().expect("peeked entry vanished");
-            self.model.ingest(e.at, e.obs);
-        }
-    }
-}
-
-/// N event queues run in lookahead-bounded barrier rounds — the parallel
-/// (and, at one worker, the serial) executor for sharded models.
-///
-/// Construction fixes the shard layout and the lookahead; the worker-thread
-/// count is free to vary per run without changing a single bit of output
-/// (see module docs). One worker runs the same round schedule with no
-/// synchronization primitives at all.
+/// The event loop for sharded models: per-shard event lists run as one
+/// exact `(time, key)` merge on the calling thread (see module docs).
 pub struct ShardedEngine<M: ShardModel> {
     shards: Vec<ShardState<M>>,
+    queues: Vec<EventQueue<M::Event>>,
+    obs: Vec<ObsHeap<M::Obs>>,
     lookahead: SimTime,
-    threads: usize,
     now: SimTime,
     telemetry: bool,
     profiling: bool,
-    rounds: u64,
+    batches: u64,
     wall_secs: f64,
 }
 
 impl<M: ShardModel> ShardedEngine<M> {
     /// Build an engine over `models` (one per shard) with the given
-    /// cross-shard lookahead, worker-thread budget, and initial per-shard
-    /// queue capacity hint.
+    /// cross-shard lookahead and initial per-shard queue capacity hint.
     ///
     /// # Panics
     /// If `models` is empty, or if a multi-shard layout comes with a zero
     /// lookahead (callers are expected to collapse such layouts to one
-    /// shard — zero lookahead admits no concurrency).
-    pub fn new(models: Vec<M>, lookahead: SimTime, threads: usize, capacity: usize) -> Self {
+    /// shard: every cross-shard send must land at least `L > 0` ahead).
+    pub fn new(models: Vec<M>, lookahead: SimTime, capacity: usize) -> Self {
         assert!(
             !models.is_empty(),
             "a sharded engine needs at least one shard"
@@ -294,29 +255,26 @@ impl<M: ShardModel> ShardedEngine<M> {
             .into_iter()
             .map(|model| ShardState {
                 model,
-                queue: EventQueue::with_capacity(capacity),
                 counter: 0,
                 obs_counter: 0,
-                outbox: (0..n).map(|_| Vec::new()).collect(),
-                obs_outbox: (0..n).map(|_| Vec::new()).collect(),
-                obs_pending: BinaryHeap::new(),
                 events_processed: 0,
                 per_type: Vec::new(),
                 pop_secs: 0.0,
                 dispatch_secs: 0.0,
                 timed_events: 0,
-                busy_secs: 0.0,
-                stall_secs: 0.0,
             })
             .collect();
         ShardedEngine {
             shards,
+            queues: (0..n)
+                .map(|_| EventQueue::with_capacity(capacity))
+                .collect(),
+            obs: (0..n).map(|_| BinaryHeap::new()).collect(),
             lookahead,
-            threads: threads.clamp(1, n),
             now: SimTime::ZERO,
             telemetry: false,
             profiling: false,
-            rounds: 0,
+            batches: 0,
             wall_secs: 0.0,
         }
     }
@@ -327,13 +285,7 @@ impl<M: ShardModel> ShardedEngine<M> {
         self.shards.len()
     }
 
-    /// Worker threads the run loop will use (clamped to the shard count).
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The cross-shard lookahead the rounds are bounded by.
+    /// The cross-shard lookahead of the observation delivery rule.
     #[inline]
     pub fn lookahead(&self) -> SimTime {
         self.lookahead
@@ -345,10 +297,11 @@ impl<M: ShardModel> ShardedEngine<M> {
         self.now
     }
 
-    /// Barrier rounds executed so far.
+    /// Batches executed so far: runs of consecutive events on one shard (a
+    /// one-shard run is one batch per `run_*` call).
     #[inline]
-    pub fn rounds(&self) -> u64 {
-        self.rounds
+    pub fn batches(&self) -> u64 {
+        self.batches
     }
 
     /// Total events processed across all shards.
@@ -362,14 +315,13 @@ impl<M: ShardModel> ShardedEngine<M> {
         self.telemetry = true;
     }
 
-    /// Turn on phase profiling: sampled pop/dispatch/push timings per shard
-    /// plus round-level busy/stall attribution. Passive — output is
-    /// bit-identical to an unprofiled run.
+    /// Turn on phase profiling: sampled pop/dispatch/push timings per
+    /// shard. Passive — output is bit-identical to an unprofiled run.
     pub fn enable_profiling(&mut self) {
         self.profiling = true;
         self.telemetry = true;
-        for s in &mut self.shards {
-            s.queue.set_timed(true);
+        for q in &mut self.queues {
+            q.set_timed(true);
         }
     }
 
@@ -394,7 +346,7 @@ impl<M: ShardModel> ShardedEngine<M> {
         let s = &mut self.shards[shard];
         let key = shard_key(shard, s.counter);
         s.counter += 1;
-        s.queue.push(at, key, event);
+        self.queues[shard].push(at, key, event);
     }
 
     /// Stage a pre-run seed event on shard `shard` through the queue's
@@ -404,15 +356,15 @@ impl<M: ShardModel> ShardedEngine<M> {
         let s = &mut self.shards[shard];
         let key = shard_key(shard, s.counter);
         s.counter += 1;
-        s.queue.stage(at, key, event);
+        self.queues[shard].stage(at, key, event);
     }
 
     /// Run until simulated time `until` (inclusive), then advance every
     /// shard's clock to `until`.
     pub fn run_until(&mut self, until: SimTime) {
         self.run(until, None);
-        for s in &mut self.shards {
-            s.queue.advance_to(until);
+        for q in &mut self.queues {
+            q.advance_to(until);
         }
         self.now = self.now.max(until);
     }
@@ -421,7 +373,7 @@ impl<M: ShardModel> ShardedEngine<M> {
     ///
     /// # Panics
     /// If more than `max_events` are processed (runaway guard). The guard
-    /// trips on the first event past the budget, even inside one round.
+    /// trips on the first event past the budget.
     pub fn run_to_quiescence(&mut self, max_events: u64) {
         self.run(SimTime::MAX, Some(max_events));
     }
@@ -431,8 +383,8 @@ impl<M: ShardModel> ShardedEngine<M> {
     /// down: observations are delivered lazily under the lookahead rule, so
     /// the tail emitted near the end of a run is still in flight.
     pub fn finish_observations(&mut self) {
-        for s in &mut self.shards {
-            s.drain_obs_through(SimTime::MAX);
+        for (s, pending) in self.shards.iter_mut().zip(&mut self.obs) {
+            ingest_through(pending, &mut s.model, SimTime::MAX);
         }
     }
 
@@ -452,12 +404,12 @@ impl<M: ShardModel> ShardedEngine<M> {
         EngineStats {
             events_processed: self.events_processed(),
             queue_high_water: self
-                .shards
+                .queues
                 .iter()
-                .map(|s| s.queue.high_water())
+                .map(EventQueue::high_water)
                 .max()
                 .unwrap_or(0),
-            queue_capacity: self.shards.iter().map(|s| s.queue.capacity()).sum(),
+            queue_capacity: self.queues.iter().map(EventQueue::capacity).sum(),
             wall_secs: self.wall_secs,
             per_type,
         }
@@ -468,36 +420,58 @@ impl<M: ShardModel> ShardedEngine<M> {
         let s = &self.shards[i];
         EngineStats {
             events_processed: s.events_processed,
-            queue_high_water: s.queue.high_water(),
-            queue_capacity: s.queue.capacity(),
+            queue_high_water: self.queues[i].high_water(),
+            queue_capacity: self.queues[i].capacity(),
             wall_secs: self.wall_secs,
             per_type: s.per_type.clone(),
         }
     }
 
     /// Merged phase profile: sampled phase seconds are scaled per shard
-    /// (by the fraction of that shard's cycles sampled) and then summed,
-    /// so `pop+dispatch` seconds can legitimately exceed wall seconds once
-    /// shards actually overlap. Per-shard busy/stall attribution rides in
-    /// [`EngineProfile::shards`].
+    /// (by the fraction of that shard's cycles sampled) and then summed.
+    /// [`ShardLoad::busy_secs`] splits the wall clock across shards in
+    /// proportion to their scaled pop + dispatch estimates.
     pub fn profile(&self) -> EngineProfile {
         let stats = self.stats();
         let mut pop = 0.0;
         let mut dispatch = 0.0;
         let mut sched = 0.0;
         let mut scheduled = 0;
-        for s in &self.shards {
+        let mut cycle_secs = Vec::with_capacity(self.shards.len());
+        for (s, q) in self.shards.iter().zip(&self.queues) {
+            let mut cycles = 0.0;
             if s.timed_events > 0 {
                 let scale = s.events_processed as f64 / s.timed_events as f64;
                 pop += s.pop_secs * scale;
                 dispatch += s.dispatch_secs * scale;
+                cycles = (s.pop_secs + s.dispatch_secs) * scale;
             }
-            if s.queue.timed_pushes() > 0 {
-                let scale = s.counter as f64 / s.queue.timed_pushes() as f64;
-                sched += s.queue.sched_secs() * scale;
+            if q.timed_pushes() > 0 {
+                let scale = s.counter as f64 / q.timed_pushes() as f64;
+                sched += q.sched_secs() * scale;
             }
             scheduled += s.counter;
+            cycle_secs.push(cycles);
         }
+        // One thread runs every shard, so the loop's wall clock is split
+        // across shards by their share of the estimated event-cycle time.
+        let total_cycles: f64 = cycle_secs.iter().sum();
+        let shards = self
+            .shards
+            .iter()
+            .zip(cycle_secs)
+            .enumerate()
+            .map(|(i, (s, cycles))| ShardLoad {
+                shard: i,
+                events_processed: s.events_processed,
+                busy_secs: if total_cycles > 0.0 {
+                    self.wall_secs * cycles / total_cycles
+                } else {
+                    0.0
+                },
+                stall_secs: 0.0,
+            })
+            .collect();
         EngineProfile {
             events_processed: stats.events_processed,
             events_scheduled: scheduled,
@@ -509,391 +483,111 @@ impl<M: ShardModel> ShardedEngine<M> {
             queue_capacity: stats.queue_capacity,
             per_type: stats.per_type,
             peak_rss_bytes: peak_rss_bytes(),
-            rounds: self.rounds,
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ShardLoad {
-                    shard: i,
-                    events_processed: s.events_processed,
-                    busy_secs: s.busy_secs,
-                    stall_secs: s.stall_secs,
-                })
-                .collect(),
+            rounds: self.batches,
+            shards,
         }
-    }
-
-    /// Global minimum next-event time across all shards.
-    fn global_min(&self) -> SimTime {
-        self.shards
-            .iter()
-            .filter_map(|s| s.queue.peek_time())
-            .min()
-            .unwrap_or(SimTime::MAX)
     }
 
     fn run(&mut self, until: SimTime, budget: Option<u64>) {
         let t0 = std::time::Instant::now();
-        if self.threads <= 1 || self.shards.len() == 1 {
-            self.run_serial(until, budget);
-        } else {
-            self.run_parallel(until, budget);
+        // Events still allowed before the runaway guard trips: one past the
+        // budget, so a runaway stops on the first event over it.
+        let mut allowance = budget.map_or(u64::MAX, |max| max.saturating_add(1));
+        // Every shard's head, kept current from here on by the batches.
+        // `min_key` also sorts a freshly staged lane, here rather than
+        // inside the first (timed) pop.
+        let mut heads: Vec<Key> = self
+            .queues
+            .iter_mut()
+            .map(|q| q.min_key().unwrap_or(EMPTY))
+            .collect();
+        loop {
+            // The shard holding the global minimum, and the smallest head of
+            // every other shard: the limit its batch must stay below.
+            let (mut i, mut head, mut limit) = (0, heads[0], EMPTY);
+            for (j, &h) in heads.iter().enumerate().skip(1) {
+                if h < head {
+                    (i, head, limit) = (j, h, head);
+                } else if h < limit {
+                    limit = h;
+                }
+            }
+            if head == EMPTY || head.0 > until {
+                break;
+            }
+            allowance -= self.run_batch(i, limit, &mut heads, until, allowance);
+            heads[i] = self.queues[i].min_key().unwrap_or(EMPTY);
+            self.batches += 1;
+            if let Some(max) = budget {
+                assert!(allowance > 0, "run_to_quiescence exceeded {max} events");
+            }
         }
         self.wall_secs += t0.elapsed().as_secs_f64();
     }
 
-    /// One-worker round loop: the same round schedule as the parallel path,
-    /// with no synchronization primitives.
-    fn run_serial(&mut self, until: SimTime, budget: Option<u64>) {
-        let n = self.shards.len();
+    /// Run shard `i`'s events in `(time, key)` order while they stay below
+    /// `limit` and at or before `until`, ingesting pending observations under
+    /// the delay rule before each dispatch, but at most `max` of them.
+    /// Returns the number of events processed.
+    fn run_batch(
+        &mut self,
+        i: usize,
+        limit: Key,
+        heads: &mut [Key],
+        until: SimTime,
+        max: u64,
+    ) -> u64 {
         let lookahead = self.lookahead;
-        let telemetry = self.telemetry;
-        let profiling = self.profiling;
-        let start_events = self.events_processed();
-        let mut allowance = event_allowance(budget);
-        loop {
-            let m = self.global_min();
-            if m == SimTime::MAX || (budget.is_none() && m > until) {
-                break;
-            }
-            let (horizon, floor) = round_bounds(m, lookahead, until, n);
-            // Like the pop/dispatch phases, round timing is estimated from a
-            // deterministic 1-in-16 sample of rounds (scaled back up), so
-            // profiling stays cheap when the lookahead makes rounds tiny.
-            let sample = profiling && self.rounds & ROUND_SAMPLE_MASK == 0;
-            for i in 0..n {
-                let s = &mut self.shards[i];
-                let t0 = sample.then(std::time::Instant::now);
-                allowance -= run_shard_round(
-                    s, i, horizon, floor, lookahead, telemetry, profiling, allowance,
-                );
-                if let Some(t0) = t0 {
-                    s.busy_secs += t0.elapsed().as_secs_f64() * ROUND_SAMPLE_SCALE;
-                }
-            }
-            // Mailbox drain, in (destination, source) order. Order cannot
-            // matter — every message carries its key — but keeping it fixed
-            // keeps the loop boring.
-            for dst in 0..n {
-                for src in 0..n {
-                    if src == dst {
-                        continue;
-                    }
-                    let (s_src, s_dst) = two_shards(&mut self.shards, src, dst);
-                    for (at, key, ev) in s_src.outbox[dst].drain(..) {
-                        s_dst.queue.push(at, key, ev);
-                    }
-                    for (at, key, obs) in s_src.obs_outbox[dst].drain(..) {
-                        s_dst.obs_pending.push(Reverse(ObsEntry { at, key, obs }));
-                    }
-                }
-                let s = &mut self.shards[dst];
-                for (at, key, obs) in std::mem::take(&mut s.obs_outbox[dst]) {
-                    s.obs_pending.push(Reverse(ObsEntry { at, key, obs }));
-                }
-            }
-            self.rounds += 1;
-            if let Some(max) = budget {
-                assert!(
-                    self.events_processed() - start_events <= max,
-                    "run_to_quiescence exceeded {max} events"
-                );
-            }
-        }
-    }
-
-    /// Multi-worker round loop. Thread `j` owns a contiguous chunk of
-    /// shards; two barriers per round separate the min-reduction, the
-    /// processing phase, and the mailbox drain. Every decision taken by a
-    /// thread depends only on barrier-published values, so all threads agree
-    /// on every round's horizon and on termination.
-    fn run_parallel(&mut self, until: SimTime, budget: Option<u64>) {
-        let n = self.shards.len();
-        let threads = self.threads.min(n);
-        let lookahead = self.lookahead;
-        let telemetry = self.telemetry;
-        let profiling = self.profiling;
-        let chunk = n.div_ceil(threads);
-        // Chunked ownership can need fewer threads than requested (e.g. 4
-        // shards over 3 threads → two chunks of 2).
-        let threads = n.div_ceil(chunk);
-        let barrier = Barrier::new(threads);
-        // Double-buffered min reduction: round r reduces into `mins[r % 2]`
-        // while the barrier leader re-arms the other slot for round r + 1.
-        let mins = [Mutex::new(SimTime::MAX), Mutex::new(SimTime::MAX)];
-        {
-            let mut m0 = mins[0].lock().expect("min slot poisoned");
-            *m0 = SimTime::MAX;
-        }
-        // Mailboxes: slot [dst * n + src] is written only by the thread
-        // owning `src` during a round and read only by the thread owning
-        // `dst` after the barrier, so every lock is uncontended.
-        let event_mail: Mailboxes<M::Event> = (0..n * n).map(|_| Mutex::new(Vec::new())).collect();
-        let obs_mail: Mailboxes<M::Obs> = (0..n * n).map(|_| Mutex::new(Vec::new())).collect();
-        let total_events = AtomicU64::new(0);
-        let rounds = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            let mut chunks: Vec<&mut [ShardState<M>]> = self.shards.chunks_mut(chunk).collect();
-            debug_assert_eq!(chunks.len(), threads);
-            let mut handles = Vec::new();
-            for (j, own) in chunks.drain(..).enumerate() {
-                let barrier = &barrier;
-                let mins = &mins;
-                let event_mail = &event_mail;
-                let obs_mail = &obs_mail;
-                let total_events = &total_events;
-                let rounds = &rounds;
-                let mut body = move || {
-                    let base = j * chunk;
-                    let mut round: u64 = 0;
-                    // This thread's events still allowed this round; reset
-                    // from the published total after every round.
-                    let mut allowance = event_allowance(budget);
-                    loop {
-                        // Phase 1: reduce the global minimum next-event time.
-                        let local_min = own
-                            .iter()
-                            .filter_map(|s| s.queue.peek_time())
-                            .min()
-                            .unwrap_or(SimTime::MAX);
-                        {
-                            let mut g = mins[(round % 2) as usize]
-                                .lock()
-                                .expect("min slot poisoned");
-                            if local_min < *g {
-                                *g = local_min;
-                            }
-                        }
-                        // Unlike the serial path, parallel round timing is
-                        // NOT sampled: barrier waits dominate a parallel
-                        // round, so whole-round clock reads are relatively
-                        // cheap — and on an oversubscribed host a sampled
-                        // round's clock span includes other threads'
-                        // timeslices, which the sampling scale would amplify
-                        // into fabricated >100% utilization. Timing every
-                        // round lets preemption noise average out instead.
-                        let t_wait = profiling.then(std::time::Instant::now);
-                        let leader = barrier.wait().is_leader();
-                        let stall_a = t_wait.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                        let m = *mins[(round % 2) as usize]
-                            .lock()
-                            .expect("min slot poisoned");
-                        if leader {
-                            *mins[((round + 1) % 2) as usize]
-                                .lock()
-                                .expect("min slot poisoned") = SimTime::MAX;
-                        }
-                        if m == SimTime::MAX || (budget.is_none() && m > until) {
-                            break;
-                        }
-                        // Phase 2: process this round on owned shards and
-                        // deposit cross-shard messages.
-                        let (horizon, floor) = round_bounds(m, lookahead, until, n);
-                        let mut processed: u64 = 0;
-                        for (k, s) in own.iter_mut().enumerate() {
-                            let src = base + k;
-                            let t0 = profiling.then(std::time::Instant::now);
-                            let done = run_shard_round(
-                                s, src, horizon, floor, lookahead, telemetry, profiling, allowance,
-                            );
-                            processed += done;
-                            allowance -= done;
-                            if let Some(t0) = t0 {
-                                s.busy_secs += t0.elapsed().as_secs_f64();
-                            }
-                            for dst in 0..n {
-                                if dst == src {
-                                    for e in std::mem::take(&mut s.obs_outbox[dst]) {
-                                        s.obs_pending.push(Reverse(ObsEntry {
-                                            at: e.0,
-                                            key: e.1,
-                                            obs: e.2,
-                                        }));
-                                    }
-                                    continue;
-                                }
-                                if !s.outbox[dst].is_empty() {
-                                    event_mail[dst * n + src]
-                                        .lock()
-                                        .expect("mailbox poisoned")
-                                        .append(&mut s.outbox[dst]);
-                                }
-                                if !s.obs_outbox[dst].is_empty() {
-                                    obs_mail[dst * n + src]
-                                        .lock()
-                                        .expect("mailbox poisoned")
-                                        .append(&mut s.obs_outbox[dst]);
-                                }
-                            }
-                        }
-                        if budget.is_some() {
-                            total_events.fetch_add(processed, Ordering::Relaxed);
-                        }
-                        let t_wait = profiling.then(std::time::Instant::now);
-                        barrier.wait();
-                        let stall_b = t_wait.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                        if profiling {
-                            // Thread-level stall, attributed evenly across the
-                            // thread's shards (1:1 in the common layouts).
-                            let share = (stall_a + stall_b) / own.len() as f64;
-                            for s in own.iter_mut() {
-                                s.stall_secs += share;
-                            }
-                        }
-                        // Phase 3: drain incoming mailboxes on owned shards.
-                        for (k, s) in own.iter_mut().enumerate() {
-                            let dst = base + k;
-                            for src in 0..n {
-                                if src == dst {
-                                    continue;
-                                }
-                                let mut mail =
-                                    event_mail[dst * n + src].lock().expect("mailbox poisoned");
-                                for (at, key, ev) in mail.drain(..) {
-                                    s.queue.push(at, key, ev);
-                                }
-                                drop(mail);
-                                let mut mail =
-                                    obs_mail[dst * n + src].lock().expect("mailbox poisoned");
-                                for (at, key, obs) in mail.drain(..) {
-                                    s.obs_pending.push(Reverse(ObsEntry { at, key, obs }));
-                                }
-                            }
-                        }
-                        round += 1;
-                        if let Some(max) = budget {
-                            // The total is published before barrier B, so
-                            // after it every thread sees the same value and
-                            // panics (or not) in unison.
-                            let total = total_events.load(Ordering::Relaxed);
-                            assert!(total <= max, "run_to_quiescence exceeded {max} events");
-                            allowance = (max - total).saturating_add(1);
-                        }
-                    }
-                    // Every thread exits with the identical round count.
-                    rounds.fetch_max(round, Ordering::Relaxed);
-                };
-                if j == threads - 1 {
-                    // Run the last chunk on the calling thread.
-                    body();
-                } else {
-                    handles.push(scope.spawn(body));
-                }
-            }
-            for h in handles {
-                h.join().expect("worker thread panicked");
-            }
-        });
-        self.rounds += rounds.load(Ordering::Relaxed);
-    }
-}
-
-/// Disjoint mutable borrows of two distinct shards.
-fn two_shards<M: ShardModel>(
-    shards: &mut [ShardState<M>],
-    a: usize,
-    b: usize,
-) -> (&mut ShardState<M>, &mut ShardState<M>) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = shards.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = shards.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
-/// The round's inclusive pop horizon and the cross-shard send floor derived
-/// from the global minimum `m`: events with `t ≤ min(m + L − 1, until)` run,
-/// and every cross-shard send must land at `≥ m + L`. A single-shard layout
-/// has no cross-shard constraint and runs straight to `until`.
-fn round_bounds(
-    m: SimTime,
-    lookahead: SimTime,
-    until: SimTime,
-    n_shards: usize,
-) -> (SimTime, SimTime) {
-    if n_shards == 1 {
-        return (until, SimTime::ZERO);
-    }
-    let floor = SimTime(m.0.saturating_add(lookahead.0));
-    let horizon = SimTime(floor.0.saturating_sub(1)).min(until);
-    (horizon, floor)
-}
-
-/// Events a run may process before its runaway guard trips: one past the
-/// budget, so a runaway stops on the first event over it (`u64::MAX`, i.e.
-/// never, without a budget).
-fn event_allowance(budget: Option<u64>) -> u64 {
-    budget.map_or(u64::MAX, |max| max.saturating_add(1))
-}
-
-/// Process every event with `t ≤ horizon` on one shard, ingesting pending
-/// observations under the delay rule before each dispatch, but stop after
-/// `limit` events. Returns the number of events processed.
-///
-/// `limit` is the run's remaining [`event_allowance`]: reaching it means the
-/// event budget is exceeded, which the caller turns into a panic once the
-/// round is over. Without the cap a one-shard round, whose horizon is the
-/// end of the run, would only check the budget after the whole run.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_round<M: ShardModel>(
-    s: &mut ShardState<M>,
-    shard: usize,
-    horizon: SimTime,
-    floor: SimTime,
-    lookahead: SimTime,
-    telemetry: bool,
-    profiling: bool,
-    limit: u64,
-) -> u64 {
-    let mut processed: u64 = 0;
-    while processed < limit {
-        let sample = profiling && s.events_processed & PROFILE_SAMPLE_MASK == 0;
-        let t0 = sample.then(std::time::Instant::now);
-        let item = match s.queue.pop_at_most(horizon) {
-            PopNext::Event(item) => item,
-            PopNext::Empty | PopNext::Beyond => break,
+        let (telemetry, profiling) = (self.telemetry, self.profiling);
+        let s = &mut self.shards[i];
+        let mut io = ShardIo {
+            shard: i,
+            counter: s.counter,
+            obs_counter: s.obs_counter,
+            limit,
+            heads,
+            queues: &mut self.queues,
+            obs: &mut self.obs,
         };
-        if let Some(t0) = t0 {
-            s.pop_secs += t0.elapsed().as_secs_f64();
-        }
-        // Observation safety: everything stamped ≤ now − L is final (no
-        // shard can still emit below that), so deliver it before the event.
-        if !s.obs_pending.is_empty() {
-            s.drain_obs_through(item.at.saturating_sub(lookahead));
-        }
-        if telemetry {
-            let label = M::event_label(&item.event);
-            match s.per_type.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => s.per_type.push((label, 1)),
-            }
-        }
-        let t0 = sample.then(std::time::Instant::now);
-        {
-            let mut io = ShardIo {
-                shard,
-                send_floor: floor,
-                queue: &mut s.queue,
-                counter: &mut s.counter,
-                obs_counter: &mut s.obs_counter,
-                outbox: &mut s.outbox,
-                obs_outbox: &mut s.obs_outbox,
+        let mut processed: u64 = 0;
+        while processed < max {
+            let sample = profiling && s.events_processed & PROFILE_SAMPLE_MASK == 0;
+            let t0 = sample.then(std::time::Instant::now);
+            let Some(item) = io.queues[i].pop_below(io.limit, until) else {
+                break;
             };
+            if let Some(t0) = t0 {
+                s.pop_secs += t0.elapsed().as_secs_f64();
+            }
+            // Observation safety: everything stamped ≤ now − L is final (no
+            // shard can still emit below that), so deliver it before the event.
+            if !io.obs[i].is_empty() {
+                ingest_through(
+                    &mut io.obs[i],
+                    &mut s.model,
+                    item.at.saturating_sub(lookahead),
+                );
+            }
+            if telemetry {
+                let label = M::event_label(&item.event);
+                match s.per_type.iter_mut().find(|(l, _)| *l == label) {
+                    Some((_, n)) => *n += 1,
+                    None => s.per_type.push((label, 1)),
+                }
+            }
+            let t0 = sample.then(std::time::Instant::now);
             s.model.handle(item.at, item.event, &mut io);
+            if let Some(t0) = t0 {
+                s.dispatch_secs += t0.elapsed().as_secs_f64();
+                s.timed_events += 1;
+            }
+            s.events_processed += 1;
+            processed += 1;
         }
-        if let Some(t0) = t0 {
-            s.dispatch_secs += t0.elapsed().as_secs_f64();
-            s.timed_events += 1;
-        }
-        s.events_processed += 1;
-        processed += 1;
+        s.counter = io.counter;
+        s.obs_counter = io.obs_counter;
+        processed
     }
-    processed
 }
 
 #[cfg(test)]
@@ -916,7 +610,8 @@ mod tests {
         n: usize,
         hops_left: u32,
         log: Vec<(u64, u32)>,
-        obs: Vec<(u64, u32)>,
+        /// Ingested observations: `(stamp, payload, events handled before)`.
+        obs: Vec<(u64, u32, usize)>,
     }
 
     impl RingShard {
@@ -955,7 +650,7 @@ mod tests {
         }
 
         fn ingest(&mut self, at: SimTime, obs: u32) {
-            self.obs.push((at.0, obs));
+            self.obs.push((at.0, obs, self.log.len()));
         }
 
         fn event_label(ev: &Tok) -> &'static str {
@@ -966,9 +661,9 @@ mod tests {
         }
     }
 
-    fn ring(n: usize, threads: usize) -> ShardedEngine<RingShard> {
+    fn ring(n: usize) -> ShardedEngine<RingShard> {
         let models = (0..n).map(|_| RingShard::new(n, 40)).collect();
-        let mut eng = ShardedEngine::new(models, HOP, threads, 16);
+        let mut eng = ShardedEngine::new(models, HOP, 16);
         eng.enable_telemetry();
         eng.schedule(0, SimTime(5), Tok::Pass(0));
         eng.schedule(1, SimTime(7), Tok::Pass(20));
@@ -981,29 +676,123 @@ mod tests {
             .collect()
     }
 
+    /// The batched merge against the plainest possible reference: one binary
+    /// heap over `(at, key, dest, event)` for every shard, keys drawn from
+    /// the sender's counter at send time, and the observation delay rule
+    /// applied before each of shard 0's events. Per-shard logs and shard 0's
+    /// ingest order, interleaved with its events, must match exactly.
     #[test]
-    fn multi_shard_runs_are_thread_count_invariant() {
-        let mut a = ring(3, 1);
-        a.run_to_quiescence(100_000);
-        a.finish_observations();
-        let mut b = ring(3, 3);
-        b.run_to_quiescence(100_000);
-        b.finish_observations();
-        assert_eq!(a.events_processed(), b.events_processed());
-        assert!(a.events_processed() > 100);
-        assert_eq!(a.rounds(), b.rounds());
-        assert_eq!(logs(&a), logs(&b));
-        // Observations ingested on shard 0 in identical order, too.
-        assert_eq!(a.model(0).obs, b.model(0).obs);
-        // And the merged stats agree.
-        let (sa, sb) = (a.stats(), b.stats());
-        assert_eq!(sa.events_processed, sb.events_processed);
-        assert_eq!(sa.per_type, sb.per_type);
+    fn merge_matches_a_single_heap_reference_loop() {
+        const N: usize = 3;
+        let hops_left = 40;
+        let mut heap = BinaryHeap::new();
+        let mut counters = [0u64; N];
+        let mut send = |heap: &mut BinaryHeap<_>, from: usize, dest: usize, at: u64, tok: Tok| {
+            heap.push(Reverse((at, shard_key(from, counters[from]), dest, tok)));
+            counters[from] += 1;
+        };
+        send(&mut heap, 0, 0, 5, Tok::Pass(0));
+        send(&mut heap, 1, 1, 7, Tok::Pass(20));
+        let mut obs_counters = [0u64; N];
+        let mut pending = BinaryHeap::new();
+        let mut ingested = Vec::new();
+        let mut want = vec![Vec::new(); N];
+        while let Some(Reverse((now, _, d, tok))) = heap.pop() {
+            if d == 0 {
+                while let Some(&Reverse((at, _, x))) = pending.peek() {
+                    if at > now.saturating_sub(HOP.0) {
+                        break;
+                    }
+                    pending.pop();
+                    ingested.push((at, x, want[0].len()));
+                }
+            }
+            let x = match tok {
+                Tok::Work(x) => x,
+                Tok::Pass(x) => {
+                    send(&mut heap, d, d, now + 1, Tok::Work(x));
+                    send(&mut heap, d, d, now + 2, Tok::Work(x + 1));
+                    if x < hops_left {
+                        send(&mut heap, d, (d + 1) % N, now + HOP.0, Tok::Pass(x + 1));
+                    }
+                    1000 + x
+                }
+            };
+            want[d].push((now, x));
+            pending.push(Reverse((now, shard_key(d, obs_counters[d]), x)));
+            obs_counters[d] += 1;
+        }
+        while let Some(Reverse((at, _, x))) = pending.pop() {
+            ingested.push((at, x, want[0].len()));
+        }
+
+        let mut eng = ring(N);
+        eng.run_to_quiescence(100_000);
+        eng.finish_observations();
+        assert!(eng.events_processed() > 100);
+        assert_eq!(logs(&eng), want);
+        assert_eq!(eng.model(0).obs, ingested);
+        // Tokens hop between shards, so the merge ran many batches.
+        assert!(eng.batches() > 10, "{} batches", eng.batches());
+    }
+
+    /// Shard 0 ticks every microsecond; its first tick pings shard 1 one
+    /// hop ahead, and shard 1 answers with an observation to shard 0.
+    struct Ping {
+        ticks: usize,
+        /// Ingested observations: `(stamp, ticks handled before)`.
+        seen: Vec<(u64, usize)>,
+    }
+
+    impl ShardModel for Ping {
+        type Event = ();
+        type Obs = ();
+
+        fn handle(&mut self, now: SimTime, _: (), io: &mut ShardIo<'_, (), ()>) {
+            if io.shard() == 1 {
+                io.observe(0, now, ());
+                return;
+            }
+            if self.ticks == 0 {
+                io.send(1, now + HOP, ());
+            }
+            self.ticks += 1;
+        }
+
+        fn ingest(&mut self, at: SimTime, _: ()) {
+            self.seen.push((at.0, self.ticks));
+        }
+
+        fn event_label(_: &()) -> &'static str {
+            "ping"
+        }
+    }
+
+    /// Shard 0's batch starts with nothing on shard 1, so only the ping it
+    /// sends can stop it at `HOP`; otherwise it would run all its ticks
+    /// before shard 1 answers, and the answer would arrive late.
+    #[test]
+    fn a_send_below_the_limit_ends_the_batch() {
+        let models = (0..2).map(|_| Ping {
+            ticks: 0,
+            seen: Vec::new(),
+        });
+        let mut eng = ShardedEngine::new(models.collect(), HOP, 16);
+        for t in 0..100 {
+            eng.schedule(0, SimTime(t), ());
+        }
+        eng.run_to_quiescence(1_000);
+        eng.finish_observations();
+        // The answer, stamped at 10, is ingested before the tick at 10 + L.
+        assert_eq!(eng.model(0).seen, vec![(10, 20)]);
+        assert_eq!(eng.events_processed(), 101);
+        // Ticks 0–10, the ping, then ticks 11–99.
+        assert_eq!(eng.batches(), 3);
     }
 
     #[test]
     fn observations_arrive_in_time_key_order_and_completely() {
-        let mut eng = ring(4, 2);
+        let mut eng = ring(4);
         eng.run_to_quiescence(100_000);
         eng.finish_observations();
         let obs = &eng.model(0).obs;
@@ -1044,7 +833,7 @@ mod tests {
         }
 
         let models = vec![RingShard::new(1, hops_left)];
-        let mut sharded = ShardedEngine::new(models, SimTime::ZERO, 1, 16);
+        let mut sharded = ShardedEngine::new(models, SimTime::ZERO, 16);
         sharded.schedule(0, SimTime(5), Tok::Pass(0));
         sharded.schedule(0, SimTime(7), Tok::Pass(20));
         sharded.run_to_quiescence(100_000);
@@ -1054,7 +843,7 @@ mod tests {
 
     #[test]
     fn run_until_processes_inclusive_and_advances_clock() {
-        let mut eng = ring(2, 1);
+        let mut eng = ring(2);
         eng.run_until(SimTime(5));
         // The seed at t=5 ran; the one at t=7 did not.
         assert_eq!(eng.model(0).log, vec![(5, 1000)]);
@@ -1065,35 +854,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cross-shard send below the lookahead horizon")]
-    fn lookahead_violation_is_caught() {
-        struct Cheater;
-        impl ShardModel for Cheater {
-            type Event = u8;
-            type Obs = ();
-            fn handle(&mut self, now: SimTime, _: u8, io: &mut ShardIo<'_, u8, ()>) {
-                io.send(1, now + SimTime(1), 0); // below L = 10
-            }
-            fn ingest(&mut self, _: SimTime, _: ()) {}
-            fn event_label(_: &u8) -> &'static str {
-                "cheat"
-            }
-        }
-        let mut eng = ShardedEngine::new(vec![Cheater, Cheater], HOP, 1, 4);
-        eng.schedule(0, SimTime(3), 0);
-        eng.run_to_quiescence(10);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeded")]
     fn quiescence_budget_guards_runaways() {
-        let mut eng = ring(3, 1);
+        let mut eng = ring(3);
         eng.run_to_quiescence(10);
     }
 
     #[test]
     fn merged_stats_and_profile_are_coherent() {
-        let mut eng = ring(3, 3);
+        let mut eng = ring(3);
         eng.enable_profiling();
         eng.run_to_quiescence(100_000);
         let stats = eng.stats();
@@ -1107,10 +876,14 @@ mod tests {
         let p = eng.profile();
         assert_eq!(p.events_processed, stats.events_processed);
         assert_eq!(p.shards.len(), 3);
-        assert_eq!(p.rounds, eng.rounds());
+        assert_eq!(p.rounds, eng.batches());
         assert!(p.rounds > 0);
         let shard_events: u64 = p.shards.iter().map(|s| s.events_processed).sum();
         assert_eq!(shard_events, p.events_processed);
+        // One thread never waits: the shards' busy shares tile the wall clock.
+        let busy: f64 = p.shards.iter().map(|s| s.busy_secs).sum();
+        assert!((busy - p.wall_secs).abs() <= 1e-9 * p.wall_secs.max(1.0));
+        assert!(p.shards.iter().all(|s| s.stall_secs == 0.0));
         // per-type totals survive the merge.
         let typed: u64 = p.per_type.iter().map(|(_, n)| n).sum();
         assert_eq!(typed, p.events_processed);
@@ -1124,7 +897,7 @@ mod tests {
         q.push(SimTime(3), shard_key(2, 1), 30);
         q.stage(SimTime(5), shard_key(0, 2), 40);
         let mut order = Vec::new();
-        while let PopNext::Event(e) = q.pop_at_most(SimTime::MAX) {
+        while let Some(e) = q.pop_below((SimTime::MAX, u64::MAX), SimTime::MAX) {
             order.push(e.event);
         }
         assert_eq!(order, vec![30, 40, 20, 10]);
@@ -1184,7 +957,7 @@ mod tests {
         }
     }
 
-    fn recorders(n: usize, threads: usize, capacity: usize) -> ShardedEngine<Recorder> {
+    fn recorders(n: usize, capacity: usize) -> ShardedEngine<Recorder> {
         let models = (0..n)
             .map(|_| Recorder {
                 seen: Vec::new(),
@@ -1192,11 +965,11 @@ mod tests {
             })
             .collect();
         let lookahead = if n == 1 { SimTime::ZERO } else { HOP };
-        ShardedEngine::new(models, lookahead, threads, capacity)
+        ShardedEngine::new(models, lookahead, capacity)
     }
 
     fn solo() -> ShardedEngine<Recorder> {
-        recorders(1, 1, 16)
+        recorders(1, 16)
     }
 
     #[test]
@@ -1262,14 +1035,13 @@ mod tests {
         eng.run_until(SimTime::MAX);
     }
 
-    /// Regression: a one-shard round runs to the end of the run, so the
-    /// budget used to be checked only after it — a runaway model never
-    /// tripped it. The guard now stops every layout on the first event past
-    /// the budget, serial and parallel alike.
+    /// Regression: a one-shard batch runs to the end of the run, so a
+    /// budget checked only between batches never trips on a runaway model.
+    /// The guard stops every layout on the first event past the budget.
     #[test]
     fn budget_trips_on_the_first_event_past_it() {
-        for (n, threads) in [(1, 1), (2, 1), (2, 2)] {
-            let mut eng = recorders(n, threads, 16);
+        for n in [1, 2] {
+            let mut eng = recorders(n, 16);
             eng.schedule(0, SimTime::ZERO, Ev::Spin);
             let err = catch_unwind(AssertUnwindSafe(|| eng.run_to_quiescence(10)))
                 .expect_err("a runaway model must trip the budget");
@@ -1277,7 +1049,7 @@ mod tests {
             assert!(msg.contains("exceeded"), "{n} shards: {msg}");
             assert!(
                 eng.events_processed() <= 11,
-                "{n} shards, {threads} threads: {} events",
+                "{n} shards: {} events",
                 eng.events_processed()
             );
         }
@@ -1348,7 +1120,7 @@ mod tests {
     #[test]
     fn queue_capacity_does_not_change_results() {
         let run = |capacity: usize| {
-            let mut eng = recorders(1, 1, capacity);
+            let mut eng = recorders(1, capacity);
             for id in 0..50 {
                 eng.schedule(0, SimTime(100 - id as u64), Ev::Tag(id));
             }
@@ -1384,5 +1156,26 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// The staged lane's one-off sort must stay out of the first pop: that
+    /// pop is always a timed sample and is scaled up 64-fold, so a sort
+    /// inside it makes a bulk-seeded run report more pop than wall seconds.
+    #[test]
+    fn staged_sort_stays_out_of_the_pop_estimate() {
+        let mut eng = solo();
+        eng.enable_profiling();
+        for i in 0..200_000u64 {
+            eng.stage(0, SimTime(i * 7_919 % 1_000_000), Ev::Tag(i as u32));
+        }
+        eng.run_until(SimTime::MAX);
+        let p = eng.profile();
+        assert_eq!(p.events_processed, 200_000);
+        assert!(
+            p.pop_secs <= p.wall_secs,
+            "pop {} s vs wall {} s",
+            p.pop_secs,
+            p.wall_secs
+        );
     }
 }

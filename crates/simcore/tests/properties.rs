@@ -29,7 +29,7 @@ fn engine_delivery_order() {
     check(64, |g| {
         let events = g.vec_u64(0, 1_000, 1, 200);
         let models = vec![Recorder { seen: Vec::new() }];
-        let mut e = ShardedEngine::new(models, SimTime::ZERO, 1, 1024);
+        let mut e = ShardedEngine::new(models, SimTime::ZERO, 1024);
         for (i, &at) in events.iter().enumerate() {
             e.schedule(0, SimTime::from_micros(at), i as u32);
         }

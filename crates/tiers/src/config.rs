@@ -211,8 +211,8 @@ impl ServiceParams {
     ///
     /// Every cross-tier event in the system is scheduled at least one
     /// 300-byte hop in the future, which makes `hop(300)` the cross-shard
-    /// *lookahead* of the horizon-sharded engine (DESIGN.md §15) — the
-    /// shard layout derives its round bound from this exact expression.
+    /// *lookahead* of the sharded engine (DESIGN.md §15) — the shard layout
+    /// derives its observation delay from this exact expression.
     pub fn hop(&self, bytes: u64) -> SimTime {
         self.net_latency + SimTime::from_secs_f64(bytes as f64 / 125_000_000.0)
     }
@@ -311,12 +311,10 @@ pub struct SystemConfig {
     /// system-construction time, so late mutation of those fields still
     /// takes effect (the ablation harness relies on this).
     pub topology: Option<Topology>,
-    /// Worker threads for the horizon-sharded engine (1 = serial rounds).
-    /// This is **semantics-neutral** and excluded from run digests: the
-    /// shard layout is fixed by the topology alone and every cross-shard
-    /// event carries a deterministic `(time, key)`, so any thread count
-    /// reproduces the same bits (proven by the `par_run` differential
-    /// suite).
+    /// Ignored. The engine runs every shard on the calling thread as one
+    /// exact `(time, key)` merge, so there is no worker count to set. The
+    /// field remains only because the repository benchmark (`perfbench/`)
+    /// still assigns it; drop it together with those assignments.
     pub par_run: u32,
 }
 
@@ -346,13 +344,6 @@ impl SystemConfig {
             topology: None,
             par_run: 1,
         }
-    }
-
-    /// Run this trial with `threads` workers driving the sharded engine.
-    /// Performance only — the run output is bit-identical for any value.
-    pub fn with_par_run(mut self, threads: u32) -> Self {
-        self.par_run = threads;
-        self
     }
 
     /// Run this trial on an explicit topology instead of the default paper

@@ -2,7 +2,7 @@
 //!
 //! One [`System`] is one *shard* of one trial: a slice of the tier chain
 //! assembled from a [`crate::topology::Topology`], driven by the
-//! horizon-sharded engine ([`simcore::ShardedEngine`]; DESIGN.md §15). The
+//! sharded engine ([`simcore::ShardedEngine`]; DESIGN.md §15). The
 //! front shard additionally owns the closed-loop client population. Each
 //! tier node (see `tier_nodes.rs`) handles the typed [`TierMsg`]s addressed
 //! to it; the [`simcore::ShardModel`] implementation (see `system/dispatch.rs`)

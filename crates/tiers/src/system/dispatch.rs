@@ -1,15 +1,13 @@
 //! Shard-aware event dispatch: the [`simcore::ShardModel`] face of
 //! [`System`].
 //!
-//! This module is the seam between the tier chain and the horizon-sharded
-//! engine (DESIGN.md §15). It owns three things:
+//! This module is the seam between the tier chain and the sharded engine
+//! (DESIGN.md §15). It owns three things:
 //!
 //! * [`ShardLayout`] — the topology-fixed assignment of tiers (and their
 //!   replica nodes) to shards. The layout depends *only* on the topology and
-//!   the service parameters, never on the worker-thread count, which is what
-//!   makes `--par-run N` bit-identical for every `N`: all thread counts run
-//!   the same shards, the same rounds, and the same `(time, key)`-ordered
-//!   event merge.
+//!   the service parameters; the engine merges the shards' events in exact
+//!   `(time, key)` order.
 //! * [`SimQueue`] — the facade handlers schedule through. It routes every
 //!   event to its owning shard by payload (a `Tier(t, …)` message goes to
 //!   `shard_of_tier[t]`, client/timer events to the front shard, node-local
@@ -21,10 +19,11 @@
 //! The cross-shard *lookahead* is `ServiceParams::hop(300)`: the smallest
 //! delivery delay any cross-tier message can have. Every `QueryArrive`/
 //! `QueryReply`/`QueryDone`/`ReqArrive` is scheduled at least one such hop
-//! in the future, so a round that stops `lookahead` short of the global
-//! minimum can run all shards concurrently without ever missing a message.
-//! A zero-latency configuration has zero lookahead and collapses to one
-//! shard (the engine would refuse a multi-shard zero-lookahead layout).
+//! in the future, so no shard can still emit an observation stamped more
+//! than `lookahead` before the event being handled — the rule that lets
+//! observations be delivered late but in a fixed order. A zero-latency
+//! configuration has zero lookahead and collapses to one shard (the engine
+//! refuses a multi-shard zero-lookahead layout).
 
 use super::{Ctx, Ev, System, TierMsg};
 use crate::config::ServiceParams;
@@ -55,7 +54,7 @@ pub enum ObsMsg {
 }
 
 /// The topology-fixed shard layout: which shard owns each tier and node,
-/// and the cross-shard lookahead the rounds are bounded by.
+/// and the cross-shard lookahead of the observation delivery rule.
 ///
 /// Tiers are assigned whole, in chain order: the front shard (0) owns every
 /// request-carrying tier (web + app — they exchange sub-hop pool/CPU events
@@ -133,8 +132,8 @@ impl ShardLayout {
 /// The scheduling facade handlers see: shard-routing [`ShardIo`] wrapper.
 ///
 /// Handlers call `schedule`/`schedule_now` without naming a shard; the
-/// facade looks up the destination shard from the event payload and turns
-/// cross-shard destinations into lookahead-checked sends. Local destinations take the plain event-list path.
+/// facade looks up the destination shard from the event payload and sends
+/// the event there (a send to the current shard is a local schedule).
 pub(crate) struct SimQueue<'a, 'b> {
     pub io: &'a mut ShardIo<'b, Ev, ObsMsg>,
     pub layout: &'a ShardLayout,

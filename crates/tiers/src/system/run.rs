@@ -90,14 +90,13 @@ pub(super) fn seed_engine_events(engine: &mut ShardedEngine<System>) {
 }
 
 /// Build the sharded engine for `cfg`: one [`System`] shard per layout slot,
-/// worker threads capped by `cfg.par_run`, cross-shard horizon from the
-/// layout's lookahead. A single-shard layout (zero lookahead, or a chain
-/// with no query tiers) degenerates to the classic serial run.
+/// with the layout's lookahead for the observation delivery rule. A
+/// single-shard layout (zero lookahead, or a chain with no query tiers) is
+/// the classic serial run.
 pub(super) fn build_engine(cfg: SystemConfig) -> ShardedEngine<System> {
-    let threads = cfg.par_run.max(1) as usize;
     let shards = System::shards(cfg).expect("invalid topology");
     let lookahead = shards[0].layout().lookahead;
-    ShardedEngine::new(shards, lookahead, threads, 1024)
+    ShardedEngine::new(shards, lookahead, 1024)
 }
 
 /// Fold the back shards' telemetry into the front shard after a run:

@@ -24,8 +24,8 @@ use simcore::SimTime;
 /// One position in the tier chain: consumes the typed messages addressed to
 /// it and reacts to its servers' CPU completions.
 ///
-/// `Send` because each node rides its owning shard onto a worker thread
-/// under `--par-run`; the nodes are stateless, so this is free.
+/// `Send` so a whole `System` can move between threads (the plan executor
+/// runs trials on worker threads); the nodes are stateless, so this is free.
 pub(crate) trait TierNode: Send {
     /// Handle a message addressed to this tier.
     fn handle(&self, msg: TierMsg, now: SimTime, ctx: &mut Ctx, q: &mut SimQueue<'_, '_>);

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Flags (all optional): the shared [`BenchArgs`] set (`--hw`, `--soft`,
-//! `--users N`, `--quick`, `--par-run`, `--profile`) plus the dashboard's
+//! `--users N`, `--quick`, `--profile`) plus the dashboard's
 //! own extras, picked out of [`BenchArgs::rest`]:
 //!
 //! * `--window MS` — metrics window in milliseconds (default 100).
@@ -73,19 +73,15 @@ fn main() {
     let soft = args.soft_or(SoftAllocation::rule_of_thumb());
     let users = args.users_or(vec![3000])[0];
 
-    // One metered single-point plan through the shared engine. The shared
-    // plan-level knobs ride along: `--par-run` is a semantics-neutral
-    // performance flag, `--profile` adds the engine summary (with per-shard
-    // load rows on a parallel run) after the dashboard.
-    let mut plan = ExperimentPlan::new("metrics-dashboard")
+    // One metered single-point plan through the shared engine; `--profile`
+    // adds the engine summary (with per-shard load rows) after the
+    // dashboard.
+    let plan = ExperimentPlan::new("metrics-dashboard")
         .with_schedule(args.schedule())
         .with_variant(Variant::paper(hw, soft))
         .with_users([users])
         .with_metrics(MetricsConfig::windowed(extras.window))
         .with_profile(args.profile);
-    if let Some(n) = args.par_run {
-        plan = plan.with_par_run(n);
-    }
 
     println!("running {}({soft}) @ {users} users ...", hw);
     let results = run_plan(&plan, &Executor::serial());

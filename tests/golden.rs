@@ -10,8 +10,13 @@
 //! float bit patterns) — not struct shapes or enum discriminants — so the
 //! fixture compiles unchanged across refactors of the report types.
 
+mod common;
+
+use rubbos_ntier::jvm_gc::GcConfig;
+use rubbos_ntier::metrics::export::to_csv;
 use rubbos_ntier::ntier_trace::export;
 use rubbos_ntier::prelude::*;
+use rubbos_ntier::simcore::SimTime;
 use rubbos_ntier::tiers::output::{NodeReport, PoolReport};
 use rubbos_ntier::workload::WorkloadConfig;
 
@@ -166,10 +171,7 @@ fn run_golden_armed(hw: HardwareConfig, users: u32) -> (u64, u64) {
 // runner (mirrored queries, sender-side routing, per-shard RNG forks —
 // see DESIGN.md §15; the previous constants dated from the pre-refactor
 // monolithic `System`). Do not update these constants without first
-// establishing that an output change is intended and understood. In
-// particular, `--par-run N` must NOT change them for any `N`: the shard
-// layout is topology-fixed, so every thread count replays the identical
-// event merge (tests/par_run.rs proves this field by field).
+// establishing that an output change is intended and understood.
 const GOLD_1212_OUT: u64 = 0xc0182045b7981689;
 const GOLD_1212_TRACE: u64 = 0x53d94fa0985c5de6;
 const GOLD_1414_OUT: u64 = 0x779ff0ce572132ed;
@@ -258,56 +260,6 @@ fn golden_digests_unchanged_with_profiling_enabled() {
     );
 }
 
-/// `--par-run N` is the other pure performance knob: the shard layout is
-/// fixed by the topology alone, so every worker count executes the same
-/// rounds over the same (time, key)-ordered event merge and must reproduce
-/// the serial golden digests bit for bit. This is the end-to-end half of
-/// the proof; tests/par_run.rs compares the full observable surface field
-/// by field across topologies and fault campaigns.
-#[test]
-fn golden_digests_identical_under_par_run() {
-    for par in [2u32, 4, 8] {
-        let mut cfg = SystemConfig::new(
-            HardwareConfig::one_two_one_two(),
-            SoftAllocation::rule_of_thumb(),
-            2000,
-        );
-        cfg.workload = WorkloadConfig::quick(2000);
-        cfg.trace = TraceConfig::Sampled(0.25);
-        cfg.par_run = par;
-        let (out, trace) = run_system_traced(cfg);
-        let jsonl = export::to_jsonl(trace.spans.iter());
-        let (out, trace) = (digest_output(&out), digest_str(&jsonl));
-        assert_eq!(
-            out, GOLD_1212_OUT,
-            "par_run={par} perturbed 1/2/1/2 output: got {out:#018x}"
-        );
-        assert_eq!(
-            trace, GOLD_1212_TRACE,
-            "par_run={par} perturbed 1/2/1/2 trace: got {trace:#018x}"
-        );
-    }
-    let mut cfg = SystemConfig::new(
-        HardwareConfig::one_four_one_four(),
-        SoftAllocation::rule_of_thumb(),
-        2400,
-    );
-    cfg.workload = WorkloadConfig::quick(2400);
-    cfg.trace = TraceConfig::Sampled(0.25);
-    cfg.par_run = 4;
-    let (out, trace) = run_system_traced(cfg);
-    let jsonl = export::to_jsonl(trace.spans.iter());
-    let (out, trace) = (digest_output(&out), digest_str(&jsonl));
-    assert_eq!(
-        out, GOLD_1414_OUT,
-        "par_run=4 perturbed 1/4/1/4 output: got {out:#018x}"
-    );
-    assert_eq!(
-        trace, GOLD_1414_TRACE,
-        "par_run=4 perturbed 1/4/1/4 trace: got {trace:#018x}"
-    );
-}
-
 /// The flight recorder + critical-path analysis + SLO counting are passive
 /// observers of spans and state transitions the run already produces: no
 /// events, no RNG draws, no timing changes. A fully armed run must therefore
@@ -344,5 +296,186 @@ fn golden_1_4_1_4_rule_of_thumb() {
     assert_eq!(
         trace, GOLD_1414_TRACE,
         "trace JSONL digest drifted for 1/4/1/4(400-150-60): got {trace:#018x}"
+    );
+}
+
+/// Digest a run's full observable surface: the `RunOutput` minus its
+/// wall-clock profile (Debug formatting covers every field, and Rust's
+/// shortest-roundtrip float formatting makes it bit-faithful), the trace
+/// JSONL plus its sampling/ring counters, the windowed-metrics CSV, and the
+/// flight-recorder summary. Host wall-clock is the only thing left out.
+fn observables_digest(cfg: SystemConfig) -> u64 {
+    let (mut out, trace, metrics) = run_system_full(cfg);
+    out.profile = None;
+    let mut h = Fnv::new();
+    h.str(&format!("{out:?}"));
+    h.str(&format!(
+        "admitted={} rejected={} overwritten={} events={}",
+        trace.admitted, trace.rejected, trace.overwritten, trace.engine.events_processed,
+    ));
+    h.str(&export::to_jsonl(trace.spans.iter()));
+    h.str(&metrics.map(|m| to_csv(&m)).unwrap_or_default());
+    h.str(&format!("{:?}", trace.flight));
+    h.0
+}
+
+// Full-surface digests of seven multi-shard scenarios, captured with the
+// barrier-round event loop that preceded the exact `(time, key)` merge loop
+// (DESIGN.md §15). They are the oracle that the merge loop hands every shard
+// the same events in the same order under faults, crash replication, retry
+// storms, the flight recorder, and a ~2.4 µs lookahead. Same rule as the
+// constants above: never re-pin without an intended, explained change.
+const SCENARIO_ARMED: u64 = 0xa0001c24f48562fe;
+const SCENARIO_1414: u64 = 0xb285314f9a74ec79;
+const SCENARIO_THREE_TIER: u64 = 0x9917c4f919229f9e;
+const SCENARIO_FAULTS: u64 = 0xa88859c28cc11c73;
+const SCENARIO_RETRY_STORM: u64 = 0x2195fd4255c8fe6d;
+const SCENARIO_TINY_LOOKAHEAD: u64 = 0xf83a22f533a4d68c;
+const SCENARIO_DRAIN: u64 = 0x0ce2523f627d6642;
+
+fn assert_scenario(cfg: SystemConfig, label: &str, want: u64) {
+    let got = observables_digest(cfg);
+    assert_eq!(
+        got, want,
+        "{label}: observable digest drifted: got {got:#018x}"
+    );
+}
+
+/// The paper 1/2/1/2 chain with the full passive-observability stack armed:
+/// sampled tracing, windowed metrics, engine profiling, the tail-sampling
+/// flight recorder, and an SLO.
+#[test]
+fn scenario_everything_armed() {
+    let mut cfg = common::scaled_config(
+        HardwareConfig::one_two_one_two(),
+        SoftAllocation::rule_of_thumb(),
+        900,
+    );
+    cfg.trace = TraceConfig::Sampled(0.25);
+    cfg.metrics = MetricsConfig::windowed_default();
+    cfg.flight = FlightConfig::tail(4);
+    cfg.slo = Some(SloPolicy::new(0.99, 0.5));
+    cfg.profile = true;
+    assert_scenario(cfg, "1/2/1/2 armed", SCENARIO_ARMED);
+}
+
+/// The wider 1/4/1/4 chain (more replicas per back shard), fully traced.
+#[test]
+fn scenario_1414() {
+    let mut cfg = common::scaled_config(
+        HardwareConfig::one_four_one_four(),
+        SoftAllocation::rule_of_thumb(),
+        1000,
+    );
+    cfg.trace = TraceConfig::Full;
+    assert_scenario(cfg, "1/4/1/4", SCENARIO_1414);
+}
+
+/// A 3-tier chain (no clustering middleware): one fewer shard, app queries
+/// go straight to the DB shard.
+#[test]
+fn scenario_three_tier() {
+    let soft = SoftAllocation::rule_of_thumb();
+    let topo = Topology::three_tier(1, 2, 2, soft, GcConfig::jdk6_server());
+    let mut cfg =
+        SystemConfig::new(HardwareConfig::one_two_one_two(), soft, 400).with_topology(topo);
+    cfg.workload = WorkloadConfig::quick(400);
+    common::scale_params(&mut cfg);
+    cfg.trace = TraceConfig::Sampled(0.5);
+    cfg.metrics = MetricsConfig::windowed_default();
+    assert_scenario(cfg, "3-tier", SCENARIO_THREE_TIER);
+}
+
+/// Every fault mechanism at once: DB crash + recovery + cold-cache slow
+/// window, middleware wire drops, an app deadline, front-tier shedding, and
+/// backoff retries. Crash/Recover events are replicated to every shard
+/// (owner runs the crash path, the rest flip the liveness bit), so this is
+/// the scenario that would catch a replication-ordering bug.
+#[test]
+fn scenario_all_faults() {
+    let hw = HardwareConfig::one_two_one_two();
+    let soft = SoftAllocation::rule_of_thumb();
+    let mut topo = Topology::paper(hw, soft);
+    topo.tiers[0].shed = ShedPolicy::QueueDepth(60);
+    topo.tiers[1].timeout = Some(SimTime::from_secs_f64(2.0));
+    topo.tiers[2].fault = FaultSpec::none().with_drop_prob(0.01);
+    topo.tiers[3].fault = FaultSpec::none()
+        .with_crash(
+            1,
+            SimTime::from_secs_f64(15.0),
+            Some(SimTime::from_secs_f64(25.0)),
+        )
+        .with_slow(
+            1,
+            SimTime::from_secs_f64(25.0),
+            Some(SimTime::from_secs_f64(32.0)),
+            5.0,
+        );
+    let mut cfg = SystemConfig::new(hw, soft, 900).with_topology(topo);
+    cfg.workload = WorkloadConfig::quick(900);
+    common::scale_params(&mut cfg);
+    cfg.retry = RetryPolicy::backoff(3, SimTime::from_secs_f64(0.3), 2.0, 0.5);
+    cfg.trace = TraceConfig::Sampled(0.25);
+    cfg.metrics = MetricsConfig::windowed_default();
+    assert_scenario(cfg, "faulted", SCENARIO_FAULTS);
+}
+
+/// A retry storm: a permanent mid-run DB crash with naive retries and a
+/// retry budget — failure wires, breaker transitions, and budget tokens all
+/// crossing shard boundaries under load.
+#[test]
+fn scenario_retry_storm() {
+    let hw = HardwareConfig::one_two_one_two();
+    let soft = SoftAllocation::rule_of_thumb();
+    let mut topo = Topology::paper(hw, soft);
+    topo.tiers[1].timeout = Some(SimTime::from_secs_f64(1.5));
+    topo.tiers[3].fault = FaultSpec::none().with_crash(0, SimTime::from_secs_f64(18.0), None);
+    let mut cfg = SystemConfig::new(hw, soft, 1000).with_topology(topo);
+    cfg.workload = WorkloadConfig::quick(1000);
+    common::scale_params(&mut cfg);
+    cfg.retry = RetryPolicy::naive(3);
+    cfg.retry_budget = RetryBudget::new(0.2, 20.0);
+    cfg.metrics = MetricsConfig::windowed_default();
+    assert_scenario(cfg, "retry storm", SCENARIO_RETRY_STORM);
+}
+
+/// Zero `net_latency` shrinks the lookahead to the 300-byte wire
+/// serialization time (~2.4 µs): cross-shard messages land microseconds
+/// after they are sent, and observations are held back by the same tiny
+/// delay — the regime where a merge-order or delivery-rule slip would
+/// surface first.
+#[test]
+fn scenario_tiny_lookahead() {
+    let mut cfg = common::scaled_config(
+        HardwareConfig::one_two_one_two(),
+        SoftAllocation::rule_of_thumb(),
+        500,
+    );
+    cfg.params.net_latency = SimTime::ZERO;
+    cfg.trace = TraceConfig::Sampled(0.5);
+    assert_scenario(cfg, "tiny lookahead", SCENARIO_TINY_LOOKAHEAD);
+}
+
+/// The drain-time conservation report is gathered per shard before the
+/// telemetry merge; the drained run and its report are pinned together.
+#[test]
+fn scenario_drain() {
+    let cfg = common::scaled_config(
+        HardwareConfig::one_two_one_two(),
+        SoftAllocation::rule_of_thumb(),
+        700,
+    );
+    let (out, report) = run_system_to_drain(cfg);
+    let report = format!("{report:?}");
+    // A clean drain: nothing in flight anywhere.
+    assert!(report.contains("in_flight_requests: 0"));
+    assert!(report.contains("in_flight_queries: 0"));
+    let mut h = Fnv::new();
+    h.str(&format!("{out:?}"));
+    h.str(&report);
+    assert_eq!(
+        h.0, SCENARIO_DRAIN,
+        "drain: RunOutput/DrainReport digest drifted: got {:#018x}",
+        h.0
     );
 }

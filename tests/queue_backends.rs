@@ -105,7 +105,7 @@ fn chaotic_schedules_match_the_reference_order() {
                 log: Vec::new(),
                 budget,
             };
-            let mut e = ShardedEngine::new(vec![model], SimTime::ZERO, 1, 16);
+            let mut e = ShardedEngine::new(vec![model], SimTime::ZERO, 16);
             for &(at, id) in &seeds {
                 if stage {
                     e.stage(0, SimTime::from_micros(at), id);
